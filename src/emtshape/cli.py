@@ -84,8 +84,8 @@ class RunConfig:
             raise ConfigError("order must be a positive integer")
         if self.nodes < 4 or self.nodes % 2:
             raise ConfigError("nodes must be an even integer >= 4")
-        if self.theta_samples < 1:
-            raise ConfigError("thetaSamples must be a positive integer")
+        if self.theta_samples < 4 or self.theta_samples % 2:
+            raise ConfigError("thetaSamples must be an even integer >= 4")
 
 
 def _lame_from_json(data: dict, label: str) -> LameConstants:
@@ -305,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if cmd_oracle() else 1
         config = load_config(args.config, order=args.order, nodes=args.nodes,
                              noise_var=args.noise_var, seed=args.seed, out=args.out)
+        if args.command != "forward" and config.order < 2:
+            raise ConfigError("reconstruction needs order >= 2 (the disk fit uses "
+                              "the order-2 entries)")
         if args.command == "forward":
             cmd_forward(config)
         elif args.command == "reconstruct":

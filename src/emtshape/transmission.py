@@ -127,23 +127,18 @@ def _circulant(col: np.ndarray) -> np.ndarray:
     return col[idx]
 
 
-def _multiplier_matrix(n: int, mult: np.ndarray) -> np.ndarray:
-    # matrix of f -> ifft(mult * fft(f)); real whenever mult is Hermitian
-    return _circulant(np.fft.ifft(mult).real)
+def _wavenumbers(n: int) -> np.ndarray:
+    # Fourier modes in fft order with the Nyquist mode dropped (set to 0)
+    k = np.rint(np.fft.fftfreq(n, 1.0 / n))
+    k[n // 2] = 0.0
+    return k
 
 
-def _conjugation_matrix(n: int) -> np.ndarray:
-    k = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
-    mult = 1j * np.sign(k).astype(complex)
-    mult[n // 2] = 0.0  # Nyquist mode dropped
-    return _multiplier_matrix(n, mult)
-
-
-def _diff_matrix(n: int) -> np.ndarray:
-    k = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
-    mult = (1j * k).astype(complex)
-    mult[n // 2] = 0.0
-    return _multiplier_matrix(n, mult)
+def _spectral_derivative(f: np.ndarray) -> np.ndarray:
+    """d/dtheta of periodic nodal values, along axis 0."""
+    f_hat = np.fft.fft(f, axis=0)
+    f_hat *= (1j * _wavenumbers(f.shape[0])).reshape((-1,) + (1,) * (f.ndim - 1))
+    return np.fft.ifft(f_hat, axis=0)
 
 
 def _log_quadrature_row(n: int) -> np.ndarray:
@@ -154,94 +149,151 @@ def _log_quadrature_row(n: int) -> np.ndarray:
     return -(4.0 * math.pi / n) * (series + np.where(d % 2 == 0, 1.0, -1.0) / n)
 
 
-def _second_derivative(dz: np.ndarray) -> np.ndarray:
-    n = dz.shape[0]
-    k = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
-    mult = (1j * k).astype(complex)
-    mult[n // 2] = 0.0
-    return np.fft.ifft(mult * np.fft.fft(dz))
-
-
-def _cauchy_matrices(curve: BoundaryCurve):
-    """Boundary-value matrices of C[g](z) = (1/2pi) int g/(z-zeta) dsigma from
-    the interior (-) and exterior (+) side."""
-    n, z, dz, theta = curve.n, curve.z, curve.dz, curve.theta
-    ddz = _second_derivative(dz)
-
-    dtheta = theta[None, :] - theta[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ks = dz[None, :] / (z[None, :] - z[:, None]) - 0.5 / np.tan(0.5 * dtheta)
-    np.fill_diagonal(ks, ddz / (2.0 * dz))
-
-    pv = -0.5j * _conjugation_matrix(n) - (1j / n) * ks
-    base = np.diag(np.abs(dz) / dz)
-    eye = np.eye(n)
-    c_int = -1j * (0.5 * eye + pv) @ base
-    c_ext = -1j * (-0.5 * eye + pv) @ base
-    return c_int, c_ext
-
-
 # ---------------------------------------------------------------------------
-# single-layer trace and traction operators (real-linear pairs P, Q with
-# action phi -> P phi + Q conj(phi))
+# curve-only operator pieces.  Every operator below is real-linear,
+# phi -> P phi + Q conj(phi), and enters the system as the real 2N x 2N block
+# [[Re P + Re Q, Im Q - Im P], [Im P + Im Q, Re P - Re Q]].  P and Q are
+# material scalars times the pieces of _CurveOperators, so the materials
+# only scale them.
 
-def _single_layer_trace(curve: BoundaryCurve, alpha: float, beta: float):
-    n, z, dz, theta, w = curve.n, curve.z, curve.dz, curve.theta, curve.weight
-    dtheta = theta[None, :] - theta[:, None]
+@dataclass(frozen=True)
+class _CurveOperators:
+    """Real N x N pieces of the Nystrom system that depend only on the curve.
+
+    log    single-layer log kernel with its product quadrature weights
+    kern   (diff / conj(diff)) w, with diff_jl = z_j - z_l
+    a      A = diag(dz) C_ext, C_ext the exterior boundary values of the Cauchy
+           integral C[g](z) = (1/2pi) int g/(z-zeta) dsigma; the interior
+           A_int = A - i diag(|dz|) differs on the diagonal only
+    q_ext, q_int  diag(dz) conj(C) + diff * (D conj(C)) for each side, with D
+           the spectral derivative
+
+    Complex pieces are stored as (real part, imaginary part).
+    """
+
+    n: int
+    weight: np.ndarray
+    speed: np.ndarray
+    log: np.ndarray
+    kern: tuple[np.ndarray, np.ndarray]
+    a: tuple[np.ndarray, np.ndarray]
+    q_ext: tuple[np.ndarray, np.ndarray]
+    q_int: tuple[np.ndarray, np.ndarray]
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return x.real.copy(), x.imag.copy()
+
+
+def _curve_operators(curve: BoundaryCurve) -> _CurveOperators:
+    n, z, dz, w = curve.n, curve.z, curve.dz, curve.weight
+    speed = np.abs(dz)
     diff = z[:, None] - z[None, :]
+    diag = np.diag_indices(n)
+    k = _wavenumbers(n)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        smooth = np.log(np.abs(diff) / (2.0 * np.abs(np.sin(0.5 * dtheta))))
-    np.fill_diagonal(smooth, np.log(np.abs(dz)))
-    rmat = _circulant(_log_quadrature_row(n))
-    logmat = (0.5 * rmat + (2.0 * math.pi / n) * smooth) / (2.0 * math.pi) * np.abs(dz)[None, :]
+    # kernels of theta_j - theta_l = 2 pi m / N enter as circulant columns in
+    # m; the half angle is folded to (0, pi/2] so that it stays accurate next
+    # to the diagonal on both sides (cot is odd and sin even about m = N/2)
+    m = np.arange(1, n)
+    half = math.pi * np.minimum(m, n - m) / n
+    log_sin = np.concatenate([[0.0], np.log(2.0 * np.sin(half))])
+    cot = np.concatenate([[0.0], np.where(m < n - m, 0.5, -0.5) / np.tan(half)])
 
-    kk = np.empty((n, n), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(diff, np.conj(diff), out=kk)
-    np.fill_diagonal(kk, dz / np.conj(dz))
+    # log|diff| = log(2 |sin((theta_j - theta_l)/2)|) + smooth, with the
+    # smooth part's diagonal limit log|dz_j|
+    log = np.abs(diff)
+    log[diag] = speed
+    np.log(log, out=log)
+    log *= 2.0 * math.pi / n
+    log += _circulant(0.5 * _log_quadrature_row(n) - (2.0 * math.pi / n) * log_sin)
+    log *= (speed / (2.0 * math.pi))[None, :]
 
-    p = alpha * logmat - (beta / (4.0 * math.pi)) * np.tile(w, (n, 1))
-    q = -(beta / (4.0 * math.pi)) * kk * w[None, :]
-    return p.astype(complex), q
+    with np.errstate(divide="ignore", invalid="ignore"):  # diagonals set below
+        kern = diff / np.conj(diff)
+        c = (dz / n)[None, :] / diff
+    kern[diag] = dz / np.conj(dz)
+    kern *= w[None, :]
+    kern = _split(kern)
+
+    # C_ext = -i (-I/2 + pv) diag(|dz|/dz) with the principal value
+    # pv = -(i/2) H - (i/N) ks: H is the periodic conjugation matrix and
+    # ks = -dz_l/(z_j - z_l) - (1/2) cot((theta_l - theta_j)/2) the smooth
+    # remainder of the Cauchy kernel, with diagonal limit z''/(2 z')
+    c[diag] = 0.5j - _spectral_derivative(dz) / (2.0 * n * dz)
+    c += _circulant(-0.5 * np.fft.ifft(1j * np.sign(k)).real - cot / n)
+    c *= (speed / dz)[None, :]
+    a = _split(dz[:, None] * c)
+
+    np.conj(c, out=c)
+    q = _spectral_derivative(c)
+    q *= diff
+    q += dz[:, None] * c
+    q_ext = _split(q)
+    # conj(C_int) = conj(C_ext) + diag(v), and D diag(v) is the circulant
+    # derivative matrix with scaled columns; it reuses the buffer of c
+    v = 1j * speed / np.conj(dz)
+    dv = np.multiply(_circulant(np.fft.ifft(1j * k).real), v[None, :], out=c)
+    dv *= diff
+    q += dv
+    q[diag] += dz * v
+    return _CurveOperators(n=n, weight=w, speed=speed, log=log, kern=kern,
+                           a=a, q_ext=q_ext, q_int=_split(q))
 
 
-def _traction_pair(curve: BoundaryCurve, alpha: float, beta: float, side: str):
-    """Matrices of dG/dtheta for the single layer, where
-    traction * dsigma = -2 i mu (dG/dtheta) dtheta; side '+' exterior, '-' interior."""
-    c_int, c_ext = _cauchy_matrices(curve)
-    c = c_ext if side == "+" else c_int
-    cc = np.conj(c)
-    d = _diff_matrix(curve.n)
-    dzd = np.diag(curve.dz)
-    zd = np.diag(curve.z)
-    p = 0.5 * beta * dzd @ c - 0.5 * alpha * np.diag(np.conj(curve.dz)) @ cc
-    q = 0.5 * beta * (dzd @ cc + zd @ (d @ cc) - d @ (cc @ zd))
-    return p, q
+def _scaled_sum(out: np.ndarray, s: float, x: np.ndarray, t: float, y: np.ndarray) -> None:
+    np.multiply(x, s, out=out)
+    out += t * y
 
 
-def _real_block(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.block([
-        [p.real + q.real, q.imag - p.imag],
-        [p.imag + q.imag, p.real - q.real],
-    ])
+def _trace_block(out: np.ndarray, ops: _CurveOperators, alpha: float, beta: float) -> None:
+    """Write the real block of the single-layer trace S[phi]| into out."""
+    n = ops.n
+    k_re, k_im = ops.kern
+    c = -beta / (4.0 * math.pi)
+    # P = alpha log + c 1 w^T is real; Q = c kern
+    _scaled_sum(out[:n, :n], alpha, ops.log, c, k_re)
+    _scaled_sum(out[n:, n:], alpha, ops.log, -c, k_re)
+    out[:n, :n] += c * ops.weight
+    out[n:, n:] += c * ops.weight
+    np.multiply(k_im, c, out=out[:n, n:])
+    np.multiply(k_im, c, out=out[n:, :n])
+
+
+def _traction_block(out: np.ndarray, ops: _CurveOperators, alpha: float, beta: float,
+                    interior: bool) -> None:
+    """Write the real block of dG/dtheta of the single layer into out, where
+    traction * dsigma = -2 i mu (dG/dtheta) dtheta, from the interior or the
+    exterior side."""
+    n = ops.n
+    a_re, a_im = ops.a
+    q_re, q_im = ops.q_int if interior else ops.q_ext
+    # P = (beta/2) A - (alpha/2) conj(A), Q = (beta/2) q
+    s, t, u = 0.5 * (beta - alpha), 0.5 * (beta + alpha), 0.5 * beta
+    _scaled_sum(out[:n, :n], s, a_re, u, q_re)
+    _scaled_sum(out[:n, n:], u, q_im, -t, a_im)
+    _scaled_sum(out[n:, :n], t, a_im, u, q_im)
+    _scaled_sum(out[n:, n:], s, a_re, -u, q_re)
+    if interior:
+        j = np.arange(n)
+        out[j, n + j] += t * ops.speed
+        out[n + j, j] -= t * ops.speed
 
 
 def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:
     n = curve.n
     k = mat.constants
     mu, mu_t = mat.background.mu, mat.inclusion.mu
+    ops = _curve_operators(curve)
     a = np.zeros((4 * n + 3, 4 * n + 3))
 
-    trace_psi = _real_block(*_single_layer_trace(curve, k.alpha_tilde, k.beta_tilde))
-    trace_phi = _real_block(*_single_layer_trace(curve, k.alpha, k.beta))
-    a[: 2 * n, : 2 * n] = trace_psi
-    a[: 2 * n, 2 * n : 4 * n] = -trace_phi
-
-    trac_psi = _real_block(*_traction_pair(curve, k.alpha_tilde, k.beta_tilde, "-"))
-    trac_phi = _real_block(*_traction_pair(curve, k.alpha, k.beta, "+"))
-    a[2 * n : 4 * n, : 2 * n] = mu_t * trac_psi
-    a[2 * n : 4 * n, 2 * n : 4 * n] = -mu * trac_phi
+    # every block is linear in (alpha, beta), so the material factors scale them
+    _trace_block(a[: 2 * n, : 2 * n], ops, k.alpha_tilde, k.beta_tilde)
+    _trace_block(a[: 2 * n, 2 * n : 4 * n], ops, -k.alpha, -k.beta)
+    _traction_block(a[2 * n : 4 * n, : 2 * n], ops,
+                    mu_t * k.alpha_tilde, mu_t * k.beta_tilde, interior=True)
+    _traction_block(a[2 * n : 4 * n, 2 * n : 4 * n], ops,
+                    -mu * k.alpha, -mu * k.beta, interior=False)
 
     # slack columns on the traction rows: constants and the dilation field z.
     # The rows are written in dG/dtheta variables, so their exact left null
@@ -315,25 +367,20 @@ def rigid_motion_residuals(pair: DensityPair) -> np.ndarray:
 def residual_norms(curve: BoundaryCurve, mat: MaterialPair, field: BackgroundField,
                    pair: DensityPair) -> tuple[float, float]:
     """Relative weighted-l2 residuals of the two discretized equations."""
-    k = mat.constants
-    mu, mu_t = mat.background.mu, mat.inclusion.mu
-    h, traction = evaluate_background(field, curve)
-
-    def apply(pq, v):
-        return pq[0] @ v + pq[1] @ np.conj(v)
-
-    trace_lhs = (apply(_single_layer_trace(curve, k.alpha_tilde, k.beta_tilde), pair.psi)
-                 - apply(_single_layer_trace(curve, k.alpha, k.beta), pair.phi))
-    trac_lhs = (mu_t * apply(_traction_pair(curve, k.alpha_tilde, k.beta_tilde, "-"), pair.psi)
-                - mu * apply(_traction_pair(curve, k.alpha, k.beta, "+"), pair.phi))
-    trac_rhs = 0.5j * np.abs(curve.dz) * traction
+    n = curve.n
+    x = np.concatenate([pair.psi.real, pair.psi.imag, pair.phi.real, pair.phi.imag])
+    b = _rhs_column(curve, *evaluate_background(field, curve))[: 4 * n]
+    # a density pair carries no rigid-motion slacks: their columns drop out
+    r = _assemble(curve, mat)[: 4 * n, : 4 * n] @ x - b
+    w2 = np.tile(curve.weight, 2)  # rows hold Re then Im of each equation
 
     def wnorm(v):
-        return math.sqrt(float(np.sum(curve.weight * np.abs(v) ** 2)))
+        return math.sqrt(float(w2 @ v**2))
 
     eps = np.finfo(float).tiny
-    return (wnorm(trace_lhs - h) / max(wnorm(h), eps),
-            wnorm(trac_lhs - trac_rhs) / max(wnorm(trac_rhs), eps))
+    trace, traction = slice(0, 2 * n), slice(2 * n, 4 * n)
+    return (wnorm(r[trace]) / max(wnorm(b[trace]), eps),
+            wnorm(r[traction]) / max(wnorm(b[traction]), eps))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +20,15 @@ BASE_CONFIG = {
 }
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(*args, cwd):
+    # the child runs in cwd, so the package path must be absolute
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "emtshape", *args],
-                          cwd=cwd, capture_output=True, text=True)
+                          cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def write_config(path, **overrides):
@@ -119,6 +127,26 @@ def test_invalid_config_exits_2(tmp_path, break_config):
     (tmp_path / "config.json").write_text(json.dumps(config))
     result = run_cli("forward", "config.json", cwd=tmp_path)
     assert result.returncode == 2, result.stderr
+
+
+@pytest.mark.parametrize("command,overrides,code", [
+    pytest.param("roundtrip", {"thetaSamples": 257}, 2, id="roundtrip-odd-theta"),
+    pytest.param("roundtrip", {"thetaSamples": 2}, 2, id="roundtrip-few-theta"),
+    pytest.param("reconstruct", {"thetaSamples": 257}, 2, id="reconstruct-odd-theta"),
+    pytest.param("roundtrip", {"order": 1}, 2, id="roundtrip-order-1"),
+    pytest.param("reconstruct", {"order": 1}, 2, id="reconstruct-order-1"),
+    pytest.param("forward", {"order": 1}, 0, id="forward-order-1"),
+])
+def test_config_contract(tmp_path, command, overrides, code):
+    write_config(tmp_path / "config.json", **overrides)
+    entries = [{"n": n, "m": m, "t": t, "s": s, "value": float(t == s and n == m)}
+               for n in (1, 2) for m in (1, 2) for t in (1, 2) for s in (1, 2)]
+    (tmp_path / "table.json").write_text(json.dumps(
+        {"order": 2, "provenance": {"kind": "exact"}, "entries": entries}))
+    args = ("config.json", "table.json") if command == "reconstruct" else ("config.json",)
+    result = run_cli(command, *args, cwd=tmp_path)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_seed_without_variance_exits_2(tmp_path):
