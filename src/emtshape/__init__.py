@@ -41,6 +41,7 @@ from .disk import (
     disk_exterior_field,
     disk_modified_emt,
     disk_emt_general,
+    recentering_matrix,
 )
 from .emt import (
     EmtTable,
@@ -54,7 +55,6 @@ from .emt import (
 from .reconstruct import (
     InversionError,
     DiskEstimate,
-    ModifiedEmtTable,
     ShapeEstimate,
     ShapeError,
     estimate_disk,

@@ -23,9 +23,8 @@ __all__ = [
     "disk_exterior_field",
     "disk_modified_emt",
     "disk_emt_general",
+    "recentering_matrix",
 ]
-
-_Q = (1.0 + 0.0j, 1.0j)  # s/t index 1 -> 1, index 2 -> i
 
 _RTOL = 1e-12
 
@@ -115,9 +114,9 @@ def disk_emt_general(mat: MaterialPair, gamma: float, a0: complex, n: int, m: in
     """Contracted moment of the (possibly off-center) disk for origin-based
     background fields conj(q_t z^n), conj(q_s z^m).
 
-    Binomial recombination of the centered diagonal values: expanding
-    z^n = sum_k C(n,k) a0^{n-k} (z-a0)^k and using the orthogonality of the
-    disk modes gives
+    In the a0-centered fields the table D is diagonal (disk_modified_emt),
+    and R(-a0) expands the origin-based fields in those, so the origin-based
+    table is R(-a0) D R(-a0)^T.  Entrywise,
 
         E^{(t,s)}_{nm} = 2 pi M0 Re{ q_t conj(q_s) S_nm },
         S_nm = sum_{k=1}^{min(n,m)} k gamma^{2k} b_{nk} conj(b_{mk}),
@@ -127,14 +126,36 @@ def disk_emt_general(mat: MaterialPair, gamma: float, a0: complex, n: int, m: in
     a0 = 0.  E.g. E^{(1,1)}_{12} = 2 pi gamma^2 M0 (a0 + conj(a0)).
     """
     _check_ts(t, s)
-    a0 = complex(a0)
-    acc = 0.0 + 0.0j
-    for k in range(1, min(n, m) + 1):
-        bn = math.comb(n, k) * a0 ** (n - k)
-        bm = math.comb(m, k) * a0 ** (m - k)
-        acc += k * gamma ** (2 * k) * bn * np.conj(bm)
-    val = _Q[t - 1] * np.conj(_Q[s - 1]) * acc
-    return 2.0 * math.pi * mat.constants.m0 * float(np.real(val))
+    if min(n, m) < 1:
+        raise ValueError(f"degrees must be >= 1, got n={n}, m={m}")
+    order = max(n, m)
+    r = recentering_matrix(order, -complex(a0))
+    diag = np.repeat([disk_modified_emt(mat, gamma, k, k, 1, 1)
+                      for k in range(1, order + 1)], 2)
+    return float(r[2 * n + t - 3] @ (diag * r[2 * m + s - 3]))
+
+
+def recentering_matrix(order: int, a0: complex) -> np.ndarray:
+    """Real 2*order x 2*order change of basis from origin-based to
+    a0-centered background fields.
+
+    With q_1 = 1, q_2 = i and u_nk = q_t C(n,k) (-a0)^{n-k},
+
+        conj(q_t (z - a0)^n) = const + sum_{k=1}^{n} Re(u_nk) conj(z^k)
+                                     + Im(u_nk) conj(i z^k).
+
+    Row (n, t) holds Re/Im u_nk in columns (k, 1)/(k, 2); index (n, t) maps
+    to 2(n-1) + (t-1).  Density map and EMT pairing are real-linear, so a
+    table E flattened the same way recenters as R(a0) E R(a0)^T, and
+    R(a0) R(-a0) = I.
+    """
+    deg = np.arange(1, order + 1)
+    comb = np.array([[math.comb(n, k) for k in deg] for n in deg], dtype=float)
+    u = comb * complex(-a0) ** np.maximum(deg[:, None] - deg[None, :], 0)
+    # t = 2 multiplies u by i: (Re u, Im u) -> (-Im u, Re u)
+    r = np.stack([np.stack([u.real, u.imag], -1),
+                  np.stack([-u.imag, u.real], -1)], 1)
+    return r.reshape(2 * order, 2 * order)
 
 
 def _check_ts(t: int, s: int) -> None:

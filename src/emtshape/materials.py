@@ -26,7 +26,8 @@ __all__ = [
 class LameConstants:
     """Isotropic Lame pair (lam, mu); dimensionless shear and bulk moduli.
 
-    Requires mu > 0 and lam + mu > 0 (ellipticity of the plane Lame operator).
+    Requires finite values with mu > 0 and lam + mu > 0 (ellipticity of the
+    plane Lame operator).
     The JSON key for ``lam`` is "lambda"; the Python name avoids the keyword.
     """
 
@@ -34,6 +35,9 @@ class LameConstants:
     mu: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
+            raise ValueError(
+                f"Lame constants must be finite, got lam={self.lam}, mu={self.mu}")
         if not self.mu > 0:
             raise ValueError(f"shear modulus must be positive, got mu={self.mu}")
         if not self.lam + self.mu > 0:

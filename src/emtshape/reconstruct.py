@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import disk_modified_emt
+from .disk import disk_modified_emt, recentering_matrix
 from .emt import EmtTable
 from .geometry import BoundaryCurve
 from .materials import MaterialPair
@@ -22,7 +22,6 @@ from .materials import MaterialPair
 __all__ = [
     "InversionError",
     "DiskEstimate",
-    "ModifiedEmtTable",
     "ShapeEstimate",
     "ShapeError",
     "estimate_disk",
@@ -35,9 +34,6 @@ __all__ = [
     "shape_estimate_to_json",
     "shape_estimate_from_json",
 ]
-
-_Q = (1.0, 1.0j)
-
 
 class InversionError(RuntimeError):
     """Raised when the EMT data admit no disk fit (wrong-signed leading entry,
@@ -52,21 +48,6 @@ class DiskEstimate:
     def __post_init__(self) -> None:
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise ValueError("gamma must be finite and positive")
-
-
-@dataclass(frozen=True)
-class ModifiedEmtTable:
-    """Recentered contracted EMTs, indexed like EmtTable."""
-
-    order: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.shape != (self.order, self.order, 2, 2):
-            raise ValueError("values must have shape (order, order, 2, 2)")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -113,64 +94,42 @@ def estimate_disk(table: EmtTable, mat: MaterialPair) -> DiskEstimate:
     return DiskEstimate(a0, gamma)
 
 
-def _binomial_weights(order: int, a0: complex) -> np.ndarray:
-    # c[n, k] = C(n, k) (-conj(a0))^(n-k), the change of basis between
-    # conj((z - a0)^n) and the origin-centered family conj(z^k)
-    c = np.zeros((order + 1, order + 1), dtype=complex)
-    for n in range(1, order + 1):
-        for k in range(1, n + 1):
-            c[n, k] = math.comb(n, k) * (-np.conj(a0)) ** (n - k)
-    return c
+def modified_emts(table: EmtTable, a0: complex) -> np.ndarray:
+    """Recenter the table at a0, keeping the (n, m, t, s) indexing of
+    EmtTable.values.
 
-
-def modified_emts(table: EmtTable, a0: complex) -> ModifiedEmtTable:
-    """Recenter the table at a0.
-
-    Writing conj(q_t (z - a0)^n) = const + sum_k Re(u_nk) h_k^(1)
-    + Im(u_nk) h_k^(2) with u_nk = q_t conj(c_nk), the density map and the
-    EMT pairing are both real-linear, so the recentered entries are an exact
-    real-bilinear combination of the original ones.
+    With rows (n, t) and columns (m, s) flattened to 2(n-1) + (t-1), the
+    recentered table is the real congruence R(a0) E R(a0)^T, where
+    R = disk.recentering_matrix expands conj(q_t (z - a0)^n) in the
+    origin-based fields.
     """
     order = table.order
-    c = _binomial_weights(order, a0)
-    e = table.values
-    out = np.empty_like(e)
-    for n in range(1, order + 1):
-        for m in range(1, order + 1):
-            block = e[:n, :m]  # E_{kl} for k <= n, l <= m
-            for t in (1, 2):
-                u = _Q[t - 1] * np.conj(c[n, 1 : n + 1])
-                uu = np.stack([u.real, u.imag])
-                for s in (1, 2):
-                    v = _Q[s - 1] * np.conj(c[m, 1 : m + 1])
-                    vv = np.stack([v.real, v.imag])
-                    out[n - 1, m - 1, t - 1, s - 1] = np.einsum(
-                        "ak,bl,klab->", uu, vv, block
-                    )
-    return ModifiedEmtTable(order, out)
+    r = recentering_matrix(order, a0)
+    e = table.values.transpose(0, 2, 1, 3).reshape(2 * order, 2 * order)
+    return (r @ e @ r.T).reshape(order, 2, order, 2).transpose(0, 2, 1, 3)
 
 
-def deltas(modified: ModifiedEmtTable, gamma: float,
-           mat: MaterialPair) -> dict[tuple[int, int, int, int], float]:
-    """Data-minus-disk gaps Delta^{(t,s)}_{nm} feeding the Fourier formulas."""
+def deltas(modified: np.ndarray, gamma: float, mat: MaterialPair) -> np.ndarray:
+    """Data-minus-disk gaps Delta^{(t,s)}_{nm} feeding the Fourier formulas:
+    the recentered table minus the diagonal centered disk table."""
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    out = {}
-    for n in range(1, modified.order + 1):
-        for m in range(1, modified.order + 1):
-            for t in (1, 2):
-                for s in (1, 2):
-                    out[(n, m, t, s)] = float(
-                        modified.values[n - 1, m - 1, t - 1, s - 1]
-                        - disk_modified_emt(mat, gamma, n, m, t, s)
-                    )
+    order = modified.shape[0]
+    disk = [disk_modified_emt(mat, gamma, n, n, 1, 1) for n in range(1, order + 1)]
+    out = np.array(modified, dtype=float)
+    diag = np.arange(order)
+    out[diag, diag] -= np.multiply.outer(disk, np.eye(2))
     return out
 
 
-def fourier_coefficients(delta_map: dict[tuple[int, int, int, int], float],
-                         gamma: float, mat: MaterialPair,
-                         order: int) -> tuple[np.ndarray, dict]:
-    """eps*h_k for k = 0..order-1 from the (n, m) = (k+1, 1) channel.
+def fourier_coefficients(delta: np.ndarray, gamma: float,
+                         mat: MaterialPair) -> tuple[np.ndarray, dict]:
+    """eps*h_k for k = 0..order-1 from the (n, m) = (k+1, 1) channel, where
+    order = delta.shape[0].
+
+    With D^{(t,s)} = delta[n-1, m-1, t-1, s-1], the first channel is
+    D^{(1,1)} + D^{(2,2)} - i (D^{(1,2)} - D^{(2,1)}) and the second
+    D^{(1,1)} - D^{(2,2)} + i (D^{(1,2)} + D^{(2,1)}).
 
     Returns (coeffs, diagnostics); diagnostics carries the discarded
     imaginary part of h_0 and the second-channel consistency values
@@ -184,18 +143,14 @@ def fourier_coefficients(delta_map: dict[tuple[int, int, int, int], float],
             "matched shear moduli (mu = mu~): both channel denominators vanish"
         )
     m1, m2 = mat.constants.m1, mat.constants.m2
+    order = delta.shape[0]
+    d11, d12 = delta[:, :, 0, 0], delta[:, :, 0, 1]
+    d21, d22 = delta[:, :, 1, 0], delta[:, :, 1, 1]
+    first = d11 + d22 - 1j * (d12 - d21)
+    second = d11 - d22 + 1j * (d12 + d21)
 
-    def combo(n: int, m: int, second: bool) -> complex:
-        d = {(t, s): delta_map[(n, m, t, s)] for t in (1, 2) for s in (1, 2)}
-        if second:
-            return d[(1, 1)] - d[(2, 2)] + 1j * (d[(1, 2)] + d[(2, 1)])
-        return d[(1, 1)] + d[(2, 2)] - 1j * (d[(1, 2)] - d[(2, 1)])
-
-    coeffs = np.empty(order, dtype=complex)
-    for k in range(order):
-        n, m = k + 1, 1
-        denom = 16.0 * math.pi * n * m * gamma ** (n + m) * mu_gap * m1
-        coeffs[k] = combo(n, m, second=False) / denom
+    n = np.arange(1, order + 1)  # (n, m) = (k + 1, 1)
+    coeffs = first[:, 0] / (16.0 * math.pi * n * gamma ** (n + 1) * mu_gap * m1)
     h0_imag = float(coeffs[0].imag)
     coeffs[0] = coeffs[0].real
 
@@ -206,7 +161,7 @@ def fourier_coefficients(delta_map: dict[tuple[int, int, int, int], float],
             if k > order - 1 or m2 == 0.0:
                 continue
             denom = 16.0 * math.pi * n * m * gamma ** (n + m) * mu_gap * m1 * m2
-            value = combo(n, m, second=True) / denom
+            value = complex(second[n - 1, m - 1]) / denom
             second_channel.append({
                 "n": n, "m": m, "k": k,
                 "value": [float(value.real), float(value.imag)],
@@ -227,7 +182,7 @@ def reconstruct(table: EmtTable, mat: MaterialPair,
     disk = estimate_disk(sub, mat)
     modified = modified_emts(sub, disk.a0)
     gaps = deltas(modified, disk.gamma, mat)
-    coeffs, diagnostics = fourier_coefficients(gaps, disk.gamma, mat, order)
+    coeffs, diagnostics = fourier_coefficients(gaps, disk.gamma, mat)
     return ShapeEstimate(disk, coeffs, diagnostics)
 
 

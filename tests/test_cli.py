@@ -119,6 +119,8 @@ def test_missing_config_exits_2(tmp_path):
     lambda c: c.update(shape={"kind": "starfish", "center": [0.0, 0.0],
                               "modeAmplitude": 1.0, "modeIndex": 1}),
     lambda c: c.pop("outputDir"),
+    lambda c: c["materials"]["inclusion"].update({"lambda": 1.8, "mu": 1e400}),
+    lambda c: c["materials"]["inclusion"].update({"lambda": 1e400, "mu": 1.5}),
 ])
 def test_invalid_config_exits_2(tmp_path, break_config):
     config = {**BASE_CONFIG}

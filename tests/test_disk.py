@@ -10,6 +10,7 @@ from emtshape.disk import (
     disk_interior_field,
     disk_modified_emt,
     disk_solution,
+    recentering_matrix,
 )
 from emtshape.geometry import Disk, sample
 from emtshape.materials import LameConstants, MaterialPair
@@ -127,6 +128,12 @@ def test_general_emt_hand_values():
         -4.0 * math.pi * gamma**2 * m0 * a0.imag, rel=1e-13)
     assert disk_emt_general(SOFT, gamma, 0.0, 1, 1, 1, 1) == pytest.approx(
         2.0 * math.pi * gamma**2 * m0, rel=1e-14)
+
+
+def test_recentering_matrix_inverse_is_opposite_shift():
+    a0 = 0.4 - 0.3j
+    product = recentering_matrix(12, a0) @ recentering_matrix(12, -a0)
+    assert np.max(np.abs(product - np.eye(24))) < 1e-12
 
 
 def test_general_emt_index_validation():
