@@ -27,12 +27,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .disk import disk_emt_general
+from .disk import disk_emt_table
 from .emt import EmtTable, NoiseModel, apply_noise, emt_table, table_from_json, table_to_json
 from .geometry import (
     BoundaryCurve,
@@ -91,7 +91,7 @@ class RunConfig:
 def _lame_from_json(data: dict, label: str) -> LameConstants:
     try:
         return LameConstants(float(data["lambda"]), float(data["mu"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {label} material: {exc}") from exc
 
 
@@ -117,22 +117,25 @@ def load_config(path: str | Path, *, order: int | None = None,
         cfg_out = raw["outputDir"]
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
     noise = None
     if raw.get("noise") is not None:
         try:
             noise = NoiseModel(float(raw["noise"]["sigma2"]), int(raw["noise"]["seed"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid noise block: {exc}") from exc
-    if noise_var is not None:
-        noise = NoiseModel(noise_var, seed if seed is not None
-                           else (noise.seed if noise is not None else 0))
-    elif seed is not None:
-        if noise is None:
-            raise ConfigError("--seed given but no noise variance is configured")
-        noise = NoiseModel(noise.sigma2, seed)
+    if seed is not None and noise_var is None and noise is None:
+        raise ConfigError("--seed given but no noise variance is configured")
+    try:
+        if noise_var is not None:
+            noise = NoiseModel(noise_var, seed if seed is not None
+                               else (noise.seed if noise is not None else 0))
+        elif seed is not None:
+            noise = NoiseModel(noise.sigma2, seed)
+    except ValueError as exc:
+        raise ConfigError(f"invalid noise override: {exc}") from exc
 
     try:
         return RunConfig(
@@ -144,13 +147,13 @@ def load_config(path: str | Path, *, order: int | None = None,
             noise=noise,
             theta_samples=int(raw.get("thetaSamples", 512)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
-def _sample_shape(config: RunConfig) -> BoundaryCurve:
+def _sample_shape(shape: CurveDescriptor, n: int) -> BoundaryCurve:
     try:
-        return sample(config.shape, config.nodes)
+        return sample(shape, n)
     except ValueError as exc:
         raise ConfigError(f"shape cannot be sampled: {exc}") from exc
 
@@ -196,7 +199,7 @@ def _write_overlay_svg(path: Path, truth: np.ndarray, recon: np.ndarray) -> None
 
 def cmd_forward(config: RunConfig) -> EmtTable:
     """Solve the transmission problem and write ``emt_table.json``."""
-    curve = _sample_shape(config)
+    curve = _sample_shape(config.shape, config.nodes)
     table = emt_table(curve, config.materials, config.order)
     if config.noise is not None:
         table = apply_noise(table, config.noise)
@@ -205,25 +208,28 @@ def cmd_forward(config: RunConfig) -> EmtTable:
     return table
 
 
-def cmd_reconstruct(config: RunConfig, table: EmtTable) -> ShapeEstimate:
-    """Invert a table; write estimate JSON, boundary CSV, and SVG overlay."""
+def cmd_reconstruct(config: RunConfig,
+                    table: EmtTable) -> tuple[ShapeEstimate, np.ndarray, BoundaryCurve]:
+    """Invert a table; write estimate JSON, boundary CSV, and SVG overlay.
+
+    Returns the estimate, the recovered boundary samples and the true
+    boundary, both at ``thetaSamples`` parameters.
+    """
     order = min(config.order, table.order)
     estimate = reconstruct(table, config.materials, order)
     samples = reconstruct_curve(estimate, config.theta_samples)
-    truth = sample(config.shape, config.theta_samples)
+    truth = _sample_shape(config.shape, config.theta_samples)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     _write_json(config.output_dir / "shape_estimate.json", shape_estimate_to_json(estimate))
     _write_boundary_csv(config.output_dir / "boundary.csv", samples)
     _write_overlay_svg(config.output_dir / "overlay.svg", truth.z, samples)
-    return estimate
+    return estimate, samples, truth
 
 
 def cmd_roundtrip(config: RunConfig) -> dict:
     """forward -> optional noise -> reconstruct -> error report."""
     table = cmd_forward(config)
-    estimate = cmd_reconstruct(config, table)
-    samples = reconstruct_curve(estimate, config.theta_samples)
-    truth = sample(config.shape, config.theta_samples)
+    estimate, samples, truth = cmd_reconstruct(config, table)
     err = shape_error(samples, truth, center=estimate.disk.a0)
     report = {
         "shape": descriptor_to_json(config.shape),
@@ -255,11 +261,7 @@ def cmd_oracle(stream=None) -> bool:
         for a0, gamma in _ORACLE_CASES:
             curve = sample(Disk(a0, gamma), 128)
             table = emt_table(curve, mat, 3)
-            exact = np.array([
-                [[[disk_emt_general(mat, gamma, a0, n, m, t, s)
-                   for s in (1, 2)] for t in (1, 2)]
-                 for m in (1, 2, 3)] for n in (1, 2, 3)
-            ])
+            exact = disk_emt_table(mat, gamma, a0, 3)
             scale = np.abs(exact).max()
             gap = np.abs(table.values - exact).max() / scale
             passed = gap < 1e-8

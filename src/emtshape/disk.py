@@ -23,6 +23,7 @@ __all__ = [
     "disk_exterior_field",
     "disk_modified_emt",
     "disk_emt_general",
+    "disk_emt_table",
     "recentering_matrix",
 ]
 
@@ -112,11 +113,8 @@ def disk_modified_emt(mat: MaterialPair, gamma: float, n: int, m: int,
 def disk_emt_general(mat: MaterialPair, gamma: float, a0: complex, n: int, m: int,
                      t: int, s: int) -> float:
     """Contracted moment of the (possibly off-center) disk for origin-based
-    background fields conj(q_t z^n), conj(q_s z^m).
-
-    In the a0-centered fields the table D is diagonal (disk_modified_emt),
-    and R(-a0) expands the origin-based fields in those, so the origin-based
-    table is R(-a0) D R(-a0)^T.  Entrywise,
+    background fields conj(q_t z^n), conj(q_s z^m); one entry of
+    disk_emt_table.  Entrywise,
 
         E^{(t,s)}_{nm} = 2 pi M0 Re{ q_t conj(q_s) S_nm },
         S_nm = sum_{k=1}^{min(n,m)} k gamma^{2k} b_{nk} conj(b_{mk}),
@@ -128,11 +126,21 @@ def disk_emt_general(mat: MaterialPair, gamma: float, a0: complex, n: int, m: in
     _check_ts(t, s)
     if min(n, m) < 1:
         raise ValueError(f"degrees must be >= 1, got n={n}, m={m}")
-    order = max(n, m)
+    return float(disk_emt_table(mat, gamma, a0, max(n, m))[n - 1, m - 1, t - 1, s - 1])
+
+
+def disk_emt_table(mat: MaterialPair, gamma: float, a0: complex, order: int) -> np.ndarray:
+    """All contracted moments of the disk D(a0, gamma) with n, m <= order and
+    t, s in {1, 2}, indexed like EmtTable.values.
+
+    In the a0-centered fields the table D is diagonal (disk_modified_emt),
+    and R(-a0) expands the origin-based fields in those, so the origin-based
+    table is R(-a0) D R(-a0)^T.
+    """
     r = recentering_matrix(order, -complex(a0))
     diag = np.repeat([disk_modified_emt(mat, gamma, k, k, 1, 1)
                       for k in range(1, order + 1)], 2)
-    return float(r[2 * n + t - 3] @ (diag * r[2 * m + s - 3]))
+    return (r @ (diag[:, None] * r.T)).reshape(order, 2, order, 2).transpose(0, 2, 1, 3)
 
 
 def recentering_matrix(order: int, a0: complex) -> np.ndarray:

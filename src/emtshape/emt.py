@@ -17,12 +17,11 @@ import numpy as np
 
 from .geometry import BoundaryCurve
 from .materials import MaterialPair
-from .transmission import BackgroundField, assemble_and_solve, solve_densities
+from .transmission import BackgroundField, solve_densities
 
 __all__ = [
     "EmtTable",
     "NoiseModel",
-    "contracted_emt",
     "emt_table",
     "apply_noise",
     "table_to_json",
@@ -41,6 +40,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not (self.sigma2 >= 0.0 and math.isfinite(self.sigma2)):
             raise ValueError("noise variance must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,6 @@ class EmtTable:
         if t not in (1, 2) or s not in (1, 2):
             raise ValueError("field types t, s must lie in {1, 2}")
         return float(self.values[n - 1, m - 1, t - 1, s - 1])
-
-
-def contracted_emt(curve: BoundaryCurve, mat: MaterialPair,
-                   n: int, m: int, t: int, s: int) -> float:
-    """Single contracted EMT entry; t, s may range over all four field types."""
-    pair = assemble_and_solve(curve, mat, BackgroundField.from_pair(mat, t, n))
-    test = BackgroundField.from_pair(mat, s, m).values(curve.z)
-    return float(np.sum(curve.weight * (test * np.conj(pair.phi)).real))
 
 
 def emt_table(curve: BoundaryCurve, mat: MaterialPair, order: int) -> EmtTable:
@@ -144,24 +137,25 @@ def table_from_json(data: dict) -> EmtTable:
     try:
         order = int(data["order"])
         provenance_data = data["provenance"]
-        entries = data["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        entries = list(data["entries"])
+        kind = "exact" if provenance_data is None else provenance_data["kind"]
+        if kind == "exact":
+            provenance = None
+        elif kind == "noisy":
+            provenance = NoiseModel(float(provenance_data["sigma2"]),
+                                    int(provenance_data["seed"]))
+        else:
+            raise ValueError(f"unknown provenance kind {kind!r}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed EMT table document: {exc}") from exc
     if order < 1:
         raise ValueError("order must be a positive integer")
-    if provenance_data is None or provenance_data.get("kind") == "exact":
-        provenance = None
-    elif provenance_data.get("kind") == "noisy":
-        provenance = NoiseModel(float(provenance_data["sigma2"]),
-                                int(provenance_data["seed"]))
-    else:
-        raise ValueError(f"unknown provenance kind {provenance_data!r}")
     values = np.full((order, order, 2, 2), np.nan)
     for entry in entries:
         try:
             n, m, t, s = (int(entry[key]) for key in ("n", "m", "t", "s"))
             value = float(entry["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed EMT entry {entry!r}") from exc
         if not (1 <= n <= order and 1 <= m <= order and t in (1, 2) and s in (1, 2)):
             raise ValueError(f"EMT entry index {(n, m, t, s)} out of range")

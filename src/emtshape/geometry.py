@@ -24,7 +24,7 @@ __all__ = [
     "CurveDescriptor",
     "BoundaryCurve",
     "sample",
-    "fourier_coefficient",
+    "winding_number",
     "descriptor_to_json",
     "descriptor_from_json",
 ]
@@ -187,13 +187,13 @@ class BoundaryCurve:
         return float(self.weight.sum())
 
 
-def _turning_number(dz: np.ndarray) -> int:
-    # Hopf Umlaufsatz: a simple regular closed curve has tangent winding +-1;
-    # anything else indicates a self-intersecting or degenerate descriptor.
-    ang = np.angle(dz)
-    inc = np.diff(np.concatenate([ang, ang[:1]]))
+def winding_number(w) -> np.ndarray:
+    """Winding number about 0 of the closed polygon with vertices w, reduced
+    along the last axis (a stack of polygons gives an array of integers)."""
+    ang = np.angle(w)
+    inc = np.diff(ang, axis=-1, append=ang[..., :1])
     inc = (inc + math.pi) % (2.0 * math.pi) - math.pi
-    return round(float(inc.sum()) / (2.0 * math.pi))
+    return np.rint(inc.sum(axis=-1) / (2.0 * math.pi)).astype(int)
 
 
 def sample(descriptor: CurveDescriptor, n: int = 256) -> BoundaryCurve:
@@ -207,8 +207,11 @@ def sample(descriptor: CurveDescriptor, n: int = 256) -> BoundaryCurve:
     if n % 2 != 0 or n < 4:
         raise ValueError(f"node count must be even and >= 4, got {n}")
     theta = 2.0 * math.pi * np.arange(n) / n
-    z = np.asarray(descriptor.point(theta), dtype=complex)
-    dz = np.asarray(descriptor.derivative(theta), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.asarray(descriptor.point(theta), dtype=complex)
+        dz = np.asarray(descriptor.derivative(theta), dtype=complex)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(dz))):
+        raise ValueError("curve points or derivatives are not finite")
 
     speed = np.abs(dz)
     if speed.min() <= 1e-12 * max(speed.max(), 1.0):
@@ -220,26 +223,15 @@ def sample(descriptor: CurveDescriptor, n: int = 256) -> BoundaryCurve:
         idx = (-np.arange(n)) % n
         z = z[idx]
         dz = -dz[idx]
-    if _turning_number(dz) != 1:
+    # Hopf Umlaufsatz: a simple regular closed curve has tangent winding +-1;
+    # anything else indicates a self-intersecting or degenerate descriptor.
+    if winding_number(dz) != 1:
         raise ValueError("curve is not simple (tangent winding != 1)")
 
     normal = -1j * dz / np.abs(dz)
     weight = (2.0 * math.pi / n) * np.abs(dz)
     return BoundaryCurve(descriptor=descriptor, n=n, theta=theta, z=z, dz=dz,
                          normal=normal, weight=weight)
-
-
-def fourier_coefficient(curve: BoundaryCurve, k: int, f) -> complex:
-    """k-th Fourier coefficient of nodal values f with respect to theta.
-
-    Trapezoidal Fourier analysis, (1/N) sum_j f_j e^{-i k theta_j}; on a disk
-    this equals the pairing (1/(2 pi gamma)) integral of f against the
-    conjugate density basis, and it is exact for band-limited f.
-    """
-    f = np.asarray(f, dtype=complex)
-    if f.shape != curve.theta.shape:
-        raise ValueError("need one nodal value per quadrature node")
-    return complex(np.mean(f * np.exp(-1j * k * curve.theta)))
 
 
 def _c(value: complex) -> list[float]:
@@ -291,6 +283,6 @@ def descriptor_from_json(obj: dict) -> CurveDescriptor:
         if kind == "fourierCurve":
             return FourierCurve(tuple(_as_complex(c) for c in obj["coefficients"]),
                                 int(obj.get("minIndex", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed curve descriptor: {exc}") from exc
     raise ValueError(f"unknown curve kind {kind!r}")

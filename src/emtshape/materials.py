@@ -10,15 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "LameConstants",
     "DerivedConstants",
     "MaterialPair",
     "derive_constants",
-    "kelvin_matrix",
-    "elastic_tensor_apply",
 ]
 
 
@@ -140,33 +136,3 @@ def derive_constants(mat: MaterialPair) -> DerivedConstants:
         m1=1.0 / denom,
         m2=beta * (bg.mu - inc.mu) / denom,
     )
-
-
-def kelvin_matrix(x, bg: LameConstants) -> np.ndarray:
-    """Fundamental solution of the plane Lame operator, evaluated at x != 0.
-
-    Gamma_ij(x) = (alpha/2pi) delta_ij log|x| - (beta/2pi) x_i x_j / |x|^2.
-
-    Args:
-        x: length-2 vector.
-        bg: material the operator belongs to.
-
-    Returns:
-        Symmetric 2x2 array; Gamma(x) == Gamma(-x).
-    """
-    x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    if r2 == 0.0:
-        raise ValueError("kelvin_matrix is singular at x = 0")
-    alpha, beta = _alpha_beta(bg)
-    log_term = alpha / (2.0 * math.pi) * 0.5 * math.log(r2)
-    return log_term * np.eye(2) - beta / (2.0 * math.pi) * np.outer(x, x) / r2
-
-
-def elastic_tensor_apply(bg: LameConstants, a) -> np.ndarray:
-    """Apply the isotropic elastic tensor: lam*tr(a)*I + 2*mu*a.
-
-    ``a`` is expected symmetric (a strain); the formula is applied as given.
-    """
-    a = np.asarray(a, dtype=float)
-    return bg.lam * np.trace(a) * np.eye(2) + 2.0 * bg.mu * a

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryCurve
+from .geometry import BoundaryCurve, winding_number
 from .materials import MaterialPair
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "DensityPair",
     "SolverError",
     "evaluate_background",
-    "assemble_and_solve",
     "solve_densities",
     "evaluate_exterior",
     "single_layer_offcurve",
@@ -348,12 +347,6 @@ def solve_densities(curve: BoundaryCurve, mat: MaterialPair,
     return out
 
 
-def assemble_and_solve(curve: BoundaryCurve, mat: MaterialPair,
-                       field: BackgroundField) -> DensityPair:
-    """Solve the transmission system for one background field."""
-    return solve_densities(curve, mat, [field])[0]
-
-
 def rigid_motion_residuals(pair: DensityPair) -> np.ndarray:
     """The three discrete rigid-motion pairings of phi (all ~ 0 after a solve)."""
     w, z, phi = pair.curve.weight, pair.curve.z, pair.phi
@@ -400,13 +393,6 @@ def single_layer_offcurve(curve: BoundaryCurve, density: np.ndarray,
     return (log_part + const_part + k_part).reshape(pts.shape)
 
 
-def _winding_number(curve: BoundaryCurve, point: complex) -> int:
-    ang = np.angle(curve.z - point)
-    inc = np.diff(np.concatenate([ang, ang[:1]]))
-    inc = (inc + math.pi) % (2.0 * math.pi) - math.pi
-    return round(float(inc.sum()) / (2.0 * math.pi))
-
-
 def evaluate_exterior(curve: BoundaryCurve, mat: MaterialPair, densities: DensityPair,
                       field: BackgroundField, points) -> np.ndarray:
     """Total exterior displacement u = H + S[phi] at the given points.
@@ -417,11 +403,12 @@ def evaluate_exterior(curve: BoundaryCurve, mat: MaterialPair, densities: Densit
     """
     pts = np.asarray(points, dtype=complex)
     flat = pts.ravel()
-    for x in flat:
-        if _winding_number(curve, complex(x)) != 0:
-            raise ValueError(f"point {x} is not exterior to the curve")
+    diff = curve.z[None, :] - flat[:, None]
+    inside = winding_number(diff) != 0
+    if inside.any():
+        raise ValueError(f"point {flat[inside.argmax()]} is not exterior to the curve")
     spacing = 2.0 * math.pi * float(np.abs(curve.dz).max()) / curve.n
-    dmin = np.abs(flat[:, None] - curve.z[None, :]).min()
+    dmin = np.abs(diff).min()
     if dmin < spacing:
         warnings.warn("evaluation point within one node spacing of the boundary; "
                       "quadrature is near-singular", RuntimeWarning, stacklevel=2)

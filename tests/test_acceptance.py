@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from emtshape.disk import disk_emt_general
+from emtshape.disk import disk_emt_table
 from emtshape.emt import EmtTable, NoiseModel, apply_noise, emt_table
 from emtshape.geometry import (
     Disk,
@@ -48,10 +48,7 @@ def _report(capfd, ok, label, detail):
 
 
 def exact_disk_table(mat, gamma, a0, order):
-    values = np.array([[[[disk_emt_general(mat, gamma, a0, n, m, t, s)
-                          for s in (1, 2)] for t in (1, 2)]
-                        for m in range(1, order + 1)] for n in range(1, order + 1)])
-    return EmtTable(order, values)
+    return EmtTable(order, disk_emt_table(mat, gamma, a0, order))
 
 
 def test_criterion_1_disk_oracle_equivalence(capfd):

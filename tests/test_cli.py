@@ -121,6 +121,16 @@ def test_missing_config_exits_2(tmp_path):
     lambda c: c.pop("outputDir"),
     lambda c: c["materials"]["inclusion"].update({"lambda": 1.8, "mu": 1e400}),
     lambda c: c["materials"]["inclusion"].update({"lambda": 1e400, "mu": 1.5}),
+    lambda c: c.update(order=1e400),
+    lambda c: c.update(nodes=1e400),
+    lambda c: c.update(thetaSamples=1e400),
+    lambda c: c.update(noise={"sigma2": 0.01, "seed": 1e400}),
+    lambda c: c.update(noise={"sigma2": 0.01, "seed": -1}),
+    lambda c: c.update(shape={"kind": "starfish", "center": [0.0, 0.0],
+                              "modeAmplitude": 0.1, "modeIndex": 1e400}),
+    lambda c: c.update(shape={"kind": "fourierCurve", "minIndex": 1e400,
+                              "coefficients": [[1.0, 0.0]]}),
+    lambda c: c.update(shape={"kind": "disk", "center": [1e400, 0.0], "radius": 1.0}),
 ])
 def test_invalid_config_exits_2(tmp_path, break_config):
     config = {**BASE_CONFIG}
@@ -138,6 +148,12 @@ def test_invalid_config_exits_2(tmp_path, break_config):
     pytest.param("roundtrip", {"order": 1}, 2, id="roundtrip-order-1"),
     pytest.param("reconstruct", {"order": 1}, 2, id="reconstruct-order-1"),
     pytest.param("forward", {"order": 1}, 0, id="forward-order-1"),
+    pytest.param("reconstruct", {
+        "materials": {"background": {"lambda": 1.5, "mu": 1.2},
+                      "inclusion": {"lambda": 1.8, "mu": 1.5}},
+        "shape": {"kind": "starfish", "center": [0.0, 0.0],
+                  "modeAmplitude": 1.0, "modeIndex": 1},
+    }, 2, id="reconstruct-unsampleable-shape"),
 ])
 def test_config_contract(tmp_path, command, overrides, code):
     write_config(tmp_path / "config.json", **overrides)
@@ -158,6 +174,14 @@ def test_seed_without_variance_exits_2(tmp_path):
     assert "seed" in result.stderr
 
 
+def test_negative_seed_flag_exits_2(tmp_path):
+    write_config(tmp_path / "config.json")
+    result = run_cli("forward", "config.json", "--noise-var", "0.01", "--seed", "-1",
+                     cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "seed" in result.stderr
+
+
 def test_contradictory_table_exits_1(tmp_path):
     write_config(tmp_path / "config.json")
     entries = [{"n": n, "m": m, "t": t, "s": s, "value": 1.0}
@@ -174,6 +198,25 @@ def test_invalid_table_schema_exits_2(tmp_path):
     (tmp_path / "table.json").write_text(json.dumps({"order": 2, "entries": []}))
     result = run_cli("reconstruct", "config.json", "table.json", cwd=tmp_path)
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("break_table", [
+    lambda doc: doc.update(order=1e400),
+    lambda doc: doc["entries"][0].update(n=1e400),
+    lambda doc: doc.update(provenance={"kind": "noisy", "sigma2": 0.01}),
+    lambda doc: doc.update(provenance="exact"),
+    lambda doc: doc.update(entries=5),
+])
+def test_invalid_table_exits_2(tmp_path, break_table):
+    write_config(tmp_path / "config.json")
+    doc = {"order": 2, "provenance": {"kind": "exact"},
+           "entries": [{"n": n, "m": m, "t": t, "s": s, "value": float(t == s and n == m)}
+                       for n in (1, 2) for m in (1, 2) for t in (1, 2) for s in (1, 2)]}
+    break_table(doc)
+    (tmp_path / "table.json").write_text(json.dumps(doc))
+    result = run_cli("reconstruct", "config.json", "table.json", cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_oracle_suite_passes(tmp_path):

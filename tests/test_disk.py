@@ -6,6 +6,7 @@ import pytest
 from emtshape.disk import (
     disk_density_coefficients,
     disk_emt_general,
+    disk_emt_table,
     disk_exterior_field,
     disk_interior_field,
     disk_modified_emt,
@@ -111,11 +112,28 @@ def test_general_emt_reduces_to_centered():
 
 def test_general_emt_symmetry():
     a0 = -0.9 + 1.2j
-    table = np.array([[[[disk_emt_general(STIFF, 1.3, a0, n, m, t, s)
-                         for s in (1, 2)] for t in (1, 2)]
-                       for m in (1, 2, 3, 4)] for n in (1, 2, 3, 4)])
+    table = disk_emt_table(STIFF, 1.3, a0, 4)
     swapped = table.transpose(1, 0, 3, 2)  # (n,m,t,s) -> (m,n,s,t)
     assert np.max(np.abs(table - swapped)) < 1e-12 * np.max(np.abs(table))
+
+
+@pytest.mark.parametrize("a0", [0.0, -0.9 + 1.2j, 0.3 - 0.2j])
+def test_disk_emt_table_matches_binomial_sum(a0):
+    # E^{(t,s)}_{nm} = 2 pi M0 Re{q_t conj(q_s) S_nm},
+    # S_nm = sum_k k gamma^{2k} C(n,k) a0^{n-k} conj(C(m,k) a0^{m-k})
+    gamma, order, q = 0.8, 6, (1.0, 1.0j)
+    m0 = STIFF.constants.m0
+    table = disk_emt_table(STIFF, gamma, a0, order)
+    for n in range(1, order + 1):
+        for m in range(1, order + 1):
+            s_nm = sum(k * gamma ** (2 * k) * math.comb(n, k) * a0 ** (n - k)
+                       * np.conj(math.comb(m, k) * a0 ** (m - k))
+                       for k in range(1, min(n, m) + 1))
+            for t in (1, 2):
+                for s in (1, 2):
+                    exact = 2.0 * math.pi * m0 * (q[t - 1] * np.conj(q[s - 1]) * s_nm).real
+                    assert table[n - 1, m - 1, t - 1, s - 1] == pytest.approx(
+                        exact, rel=1e-13, abs=1e-13 * np.max(np.abs(table)))
 
 
 def test_general_emt_hand_values():

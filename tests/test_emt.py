@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from emtshape.disk import disk_emt_general
+from emtshape.disk import disk_emt_table
 from emtshape.emt import (
     EmtTable,
     NoiseModel,
     apply_noise,
-    contracted_emt,
     emt_table,
     table_from_json,
     table_to_json,
@@ -20,30 +19,13 @@ STIFF = MaterialPair(LameConstants(1.5, 1.2), LameConstants(1.8, 1.5))
 KITE = Kite(0.6 + 0.8j, 0.65)
 
 
-def disk_reference(mat, gamma, a0, order):
-    return np.array([[[[disk_emt_general(mat, gamma, a0, n, m, t, s)
-                        for s in (1, 2)] for t in (1, 2)]
-                      for m in range(1, order + 1)] for n in range(1, order + 1)])
-
-
 @pytest.mark.parametrize("mat", [SOFT, STIFF])
 @pytest.mark.parametrize("a0,gamma", [(0.0, 1.0), (-0.9 + 1.2j, 0.7)])
 def test_disk_table_matches_closed_form(mat, a0, gamma):
     curve = sample(Disk(a0, gamma), 128)
     table = emt_table(curve, mat, 3)
-    exact = disk_reference(mat, gamma, a0, 3)
+    exact = disk_emt_table(mat, gamma, a0, 3)
     assert np.max(np.abs(table.values - exact)) < 1e-8 * np.max(np.abs(exact))
-
-
-def test_single_entry_matches_table():
-    curve = sample(KITE, 64)
-    table = emt_table(curve, SOFT, 2)
-    for n in (1, 2):
-        for m in (1, 2):
-            for t in (1, 2):
-                for s in (1, 2):
-                    one = contracted_emt(curve, SOFT, n, m, t, s)
-                    assert one == pytest.approx(table.entry(n, m, t, s), rel=1e-12, abs=1e-12)
 
 
 def test_symmetry_on_fourier_curve():
@@ -75,12 +57,6 @@ def test_dilation_scaling():
     m = np.arange(1, 4)[None, :, None, None]
     predicted = unit.values * rho ** (n + m)
     assert np.max(np.abs(scaled.values - predicted)) < 1e-8 * np.max(np.abs(predicted))
-
-
-def test_higher_family_entries_finite():
-    curve = sample(KITE, 64)
-    val = contracted_emt(curve, SOFT, 1, 1, 3, 3)
-    assert np.isfinite(val)
 
 
 def test_entry_index_validation():

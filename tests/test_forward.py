@@ -12,7 +12,6 @@ from emtshape.transmission import (
     _curve_operators,
     _log_quadrature_row,
     _trace_block,
-    assemble_and_solve,
     evaluate_background,
     evaluate_exterior,
     residual_norms,
@@ -161,7 +160,7 @@ def test_exact_disk_densities_satisfy_equations(mat, n, q):
 def test_solver_matches_disk_closed_form(mat, t, n):
     center, gamma = -0.9 + 1.2j, 0.7
     curve = sample(Disk(center, gamma), 128)
-    pair = assemble_and_solve(curve, mat, BackgroundField.from_pair(mat, t, n, center))
+    pair = solve_densities(curve, mat, [BackgroundField.from_pair(mat, t, n, center)])[0]
     q = 1.0 if t == 1 else 1.0j
     c, d = disk_density_coefficients(mat, gamma, n, q)
     phi_exact = c / gamma * np.exp(-1j * n * curve.theta)
@@ -176,7 +175,7 @@ def test_solver_matches_disk_closed_form(mat, t, n):
 def test_kite_solution_residuals(t, n, mat):
     curve = sample(KITE, 128)
     field = BackgroundField.from_pair(mat, t, n)
-    pair = assemble_and_solve(curve, mat, field)
+    pair = solve_densities(curve, mat, [field])[0]
     trace_res, traction_res = residual_norms(curve, mat, field, pair)
     assert trace_res < 1e-10
     assert traction_res < 1e-10
@@ -188,7 +187,7 @@ def test_batched_solve_matches_single():
     fields = [BackgroundField.from_pair(SOFT, t, n) for n in (1, 2) for t in (1, 2)]
     batch = solve_densities(curve, SOFT, fields)
     for field, pair in zip(fields, batch):
-        single = assemble_and_solve(curve, SOFT, field)
+        single = solve_densities(curve, SOFT, [field])[0]
         assert np.allclose(pair.phi, single.phi, atol=1e-13)
         assert np.allclose(pair.psi, single.psi, atol=1e-13)
 
@@ -228,7 +227,7 @@ def test_exterior_with_zero_density_returns_background():
 def test_exterior_perturbation_decays():
     curve = sample(KITE, 128)
     field = BackgroundField.from_pair(SOFT, 1, 1)
-    pair = assemble_and_solve(curve, SOFT, field)
+    pair = solve_densities(curve, SOFT, [field])[0]
     near = evaluate_exterior(curve, SOFT, pair, field, 10.0 + 0.0j) - field.values(10.0)
     far = evaluate_exterior(curve, SOFT, pair, field, 100.0 + 0.0j) - field.values(100.0)
     assert abs(far) < abs(near) / 5.0

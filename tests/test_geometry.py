@@ -12,8 +12,8 @@ from emtshape.geometry import (
     Starfish,
     descriptor_from_json,
     descriptor_to_json,
-    fourier_coefficient,
     sample,
+    winding_number,
 )
 
 
@@ -85,25 +85,17 @@ def test_perturbed_disk_zero_modes_is_disk():
     assert np.allclose(plain.dz, perturbed.dz)
 
 
+def test_winding_number_reduces_last_axis():
+    circle = np.exp(2j * np.pi * np.arange(16) / 16)
+    polygons = np.stack([circle, circle - 2.0, np.conj(circle)])
+    assert winding_number(polygons).tolist() == [1, 0, -1]
+    assert winding_number(circle) == 1
+
+
 def test_perturbed_disk_single_mode():
     d = PerturbedDisk(0.0, 1.0, (0.0, 0.0, 0.0, 0.02))
     curve = sample(d, 64)
     assert np.allclose(np.abs(curve.z), 1.0 + 0.04 * np.cos(3 * curve.theta))
-
-
-def test_fourier_coefficient_band_limited_exact():
-    curve = sample(Disk(0.0, 1.0), 16)
-    f = np.exp(3j * curve.theta) + 2.0 * np.exp(-2j * curve.theta) + 0.5
-    assert fourier_coefficient(curve, 3, f) == pytest.approx(1.0, abs=1e-14)
-    assert fourier_coefficient(curve, -2, f) == pytest.approx(2.0, abs=1e-14)
-    assert fourier_coefficient(curve, 0, f) == pytest.approx(0.5, abs=1e-14)
-    assert fourier_coefficient(curve, 4, f) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_fourier_coefficient_shape_mismatch():
-    curve = sample(Disk(0.0, 1.0), 16)
-    with pytest.raises(ValueError):
-        fourier_coefficient(curve, 1, np.ones(8))
 
 
 @pytest.mark.parametrize("descriptor", [
@@ -136,7 +128,18 @@ def test_descriptor_json_malformed(doc):
     lambda: Starfish(0.0, 0.1, 0),
     lambda: PerturbedDisk(0.0, 0.0, ()),
     lambda: FourierCurve(()),
+    lambda: sample(Disk(complex(math.inf, 0.0), 1.0), 16),
 ])
 def test_descriptor_validation(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("descriptor", [
+    Disk(complex(math.inf, 0.0), 1.0),
+    Disk(0.0, math.inf),
+    PerturbedDisk(0.0, 1.0, (0.0, math.inf)),
+])
+def test_sample_rejects_non_finite(descriptor):
+    with pytest.raises(ValueError, match="not finite"):
+        sample(descriptor, 16)

@@ -5,8 +5,6 @@ from emtshape.materials import (
     LameConstants,
     MaterialPair,
     derive_constants,
-    elastic_tensor_apply,
-    kelvin_matrix,
 )
 
 BG = LameConstants(1.5, 1.2)
@@ -78,32 +76,3 @@ def test_pair_validation():
         MaterialPair(BG, LameConstants(1.5, 1.2))
     with pytest.raises(ValueError, match=">= 0"):
         MaterialPair(BG, LameConstants(2.0, 0.4))
-
-
-def test_kelvin_matrix_symmetries():
-    rng = np.random.default_rng(3)
-    for x in rng.normal(size=(5, 2)):
-        g = kelvin_matrix(x, BG)
-        assert np.allclose(g, g.T)
-        assert np.allclose(g, kelvin_matrix(-x, BG))
-
-
-def test_kelvin_matrix_value():
-    # at x = (1, 0): diag(alpha log 1 / 2pi - beta/2pi, 0) with log|x| = 0
-    k = SOFT.constants
-    g = kelvin_matrix([1.0, 0.0], BG)
-    assert g[0, 0] == pytest.approx(-k.beta / (2.0 * np.pi), rel=1e-14)
-    assert g[1, 1] == pytest.approx(0.0, abs=1e-16)
-    assert g[0, 1] == 0.0
-
-
-def test_kelvin_matrix_origin_rejected():
-    with pytest.raises(ValueError):
-        kelvin_matrix([0.0, 0.0], BG)
-
-
-def test_elastic_tensor_identity_strain():
-    # lam tr(I) I + 2 mu I = (2 lam + 2 mu) I
-    assert np.allclose(elastic_tensor_apply(BG, np.eye(2)), 5.4 * np.eye(2))
-    shear = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(elastic_tensor_apply(BG, shear), 2.0 * 1.2 * shear)

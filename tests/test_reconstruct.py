@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from emtshape.disk import disk_emt_general, disk_modified_emt
+from emtshape.disk import disk_emt_table, disk_modified_emt
 from emtshape.emt import EmtTable, emt_table
 from emtshape.geometry import Disk, PerturbedDisk, Starfish, sample
 from emtshape.materials import LameConstants, MaterialPair
@@ -27,10 +27,7 @@ STIFF = MaterialPair(LameConstants(1.5, 1.2), LameConstants(1.8, 1.5))
 
 
 def exact_disk_table(mat, gamma, a0, order):
-    values = np.array([[[[disk_emt_general(mat, gamma, a0, n, m, t, s)
-                          for s in (1, 2)] for t in (1, 2)]
-                        for m in range(1, order + 1)] for n in range(1, order + 1)])
-    return EmtTable(order, values)
+    return EmtTable(order, disk_emt_table(mat, gamma, a0, order))
 
 
 @pytest.mark.parametrize("mat", [SOFT, STIFF])
