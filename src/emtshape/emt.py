@@ -150,6 +150,10 @@ def table_from_json(data: dict) -> EmtTable:
         raise ValueError(f"malformed EMT table document: {exc}") from exc
     if order < 1:
         raise ValueError("order must be a positive integer")
+    # before allocating: the document's order alone must not size the array
+    if len(entries) != 4 * order**2:
+        raise ValueError(f"EMT table document has {len(entries)} entries, "
+                         f"order {order} needs {4 * order**2}")
     values = np.full((order, order, 2, 2), np.nan)
     for entry in entries:
         try:

@@ -19,12 +19,11 @@ constraints on phi.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryCurve, winding_number
+from .geometry import BoundaryCurve
 from .materials import MaterialPair
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "SolverError",
     "evaluate_background",
     "solve_densities",
-    "evaluate_exterior",
     "single_layer_offcurve",
     "residual_norms",
     "rigid_motion_residuals",
@@ -391,27 +389,3 @@ def single_layer_offcurve(curve: BoundaryCurve, density: np.ndarray,
     const_part = -(beta / (4.0 * math.pi)) * np.sum(wphi)
     k_part = -(beta / (4.0 * math.pi)) * ((diff / np.conj(diff)) @ (curve.weight * np.conj(density)))
     return (log_part + const_part + k_part).reshape(pts.shape)
-
-
-def evaluate_exterior(curve: BoundaryCurve, mat: MaterialPair, densities: DensityPair,
-                      field: BackgroundField, points) -> np.ndarray:
-    """Total exterior displacement u = H + S[phi] at the given points.
-
-    Points must lie outside the curve; points closer to the boundary than one
-    node spacing trigger a near-singularity warning (the plain quadrature
-    loses accuracy there).
-    """
-    pts = np.asarray(points, dtype=complex)
-    flat = pts.ravel()
-    diff = curve.z[None, :] - flat[:, None]
-    inside = winding_number(diff) != 0
-    if inside.any():
-        raise ValueError(f"point {flat[inside.argmax()]} is not exterior to the curve")
-    spacing = 2.0 * math.pi * float(np.abs(curve.dz).max()) / curve.n
-    dmin = np.abs(diff).min()
-    if dmin < spacing:
-        warnings.warn("evaluation point within one node spacing of the boundary; "
-                      "quadrature is near-singular", RuntimeWarning, stacklevel=2)
-    k = mat.constants
-    s = single_layer_offcurve(curve, densities.phi, k.alpha, k.beta, pts)
-    return field.values(pts) + s

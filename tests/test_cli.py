@@ -206,6 +206,7 @@ def test_invalid_table_schema_exits_2(tmp_path):
     lambda doc: doc.update(provenance={"kind": "noisy", "sigma2": 0.01}),
     lambda doc: doc.update(provenance="exact"),
     lambda doc: doc.update(entries=5),
+    lambda doc: doc.update(order=10**7, entries=[]),
 ])
 def test_invalid_table_exits_2(tmp_path, break_table):
     write_config(tmp_path / "config.json")

@@ -13,7 +13,6 @@ from emtshape.transmission import (
     _log_quadrature_row,
     _trace_block,
     evaluate_background,
-    evaluate_exterior,
     residual_norms,
     rigid_motion_residuals,
     solve_densities,
@@ -209,41 +208,3 @@ def test_density_real_linearity():
     lhs = (apply_block(trace_block(curve, k.alpha_tilde, k.beta_tilde), combo.psi)
            - apply_block(trace_block(curve, k.alpha, k.beta), combo.phi))
     assert np.max(np.abs(lhs - (a * h1 + b * h2))) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# exterior evaluation
-
-
-def test_exterior_with_zero_density_returns_background():
-    curve = sample(KITE, 64)
-    field = BackgroundField.from_pair(SOFT, 1, 2)
-    zero = DensityPair(curve=curve, phi=np.zeros(64, complex), psi=np.zeros(64, complex))
-    pts = np.array([3.0 + 3.0j, -2.5, 4.0j])
-    out = evaluate_exterior(curve, SOFT, zero, field, pts)
-    assert np.allclose(out, field.values(pts))
-
-
-def test_exterior_perturbation_decays():
-    curve = sample(KITE, 128)
-    field = BackgroundField.from_pair(SOFT, 1, 1)
-    pair = solve_densities(curve, SOFT, [field])[0]
-    near = evaluate_exterior(curve, SOFT, pair, field, 10.0 + 0.0j) - field.values(10.0)
-    far = evaluate_exterior(curve, SOFT, pair, field, 100.0 + 0.0j) - field.values(100.0)
-    assert abs(far) < abs(near) / 5.0
-
-
-def test_exterior_interior_point_rejected():
-    curve = sample(KITE, 64)
-    field = BackgroundField.from_pair(SOFT, 1, 1)
-    zero = DensityPair(curve=curve, phi=np.zeros(64, complex), psi=np.zeros(64, complex))
-    with pytest.raises(ValueError, match="exterior"):
-        evaluate_exterior(curve, SOFT, zero, field, 0.6 + 0.8j)
-
-
-def test_exterior_near_boundary_warns():
-    curve = sample(Disk(0.0, 1.0), 64)
-    field = BackgroundField.from_pair(SOFT, 1, 1)
-    zero = DensityPair(curve=curve, phi=np.zeros(64, complex), psi=np.zeros(64, complex))
-    with pytest.warns(RuntimeWarning, match="near-singular"):
-        evaluate_exterior(curve, SOFT, zero, field, 1.0 + 1e-4j)

@@ -1,11 +1,14 @@
+import functools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from emtshape.disk import disk_emt_table, disk_modified_emt
-from emtshape.emt import EmtTable, emt_table
-from emtshape.geometry import Disk, PerturbedDisk, Starfish, sample
+from emtshape.emt import EmtTable, NoiseModel, apply_noise, emt_table
+from emtshape.geometry import Disk, Ellipse, Kite, PerturbedDisk, Starfish, sample
 from emtshape.materials import LameConstants, MaterialPair
 from emtshape.reconstruct import (
     DiskEstimate,
@@ -18,7 +21,6 @@ from emtshape.reconstruct import (
     reconstruct,
     reconstruct_curve,
     shape_error,
-    shape_estimate_from_json,
     shape_estimate_to_json,
 )
 
@@ -208,19 +210,151 @@ def test_shape_error_concentric_circles():
 def test_shape_estimate_json_round_trip():
     table = emt_table(sample(Starfish(0.0, 0.125, 5), 128), SOFT, 6)
     est = reconstruct(table, SOFT)
-    back = shape_estimate_from_json(shape_estimate_to_json(est))
-    assert back.disk.a0 == est.disk.a0
-    assert back.disk.gamma == est.disk.gamma
-    assert np.array_equal(back.coeffs, est.coeffs)
-    assert back.diagnostics == est.diagnostics
+    doc = shape_estimate_to_json(est)
+    back = json.loads(json.dumps(doc))
+    assert complex(*back["a0"]) == est.disk.a0
+    assert back["gamma"] == est.disk.gamma
+    assert np.array_equal([complex(*c) for c in back["coeffs"]], est.coeffs)
+    assert back["diagnostics"] == est.diagnostics
 
 
-@pytest.mark.parametrize("doc", [
-    {"gamma": 1.0, "coeffs": [[0.0, 0.0]]},
-    {"a0": [0.0], "gamma": 1.0, "coeffs": [[0.0, 0.0]]},
-    {"a0": [0.0, 0.0], "gamma": "one", "coeffs": [[0.0, 0.0]]},
-    {"a0": [0.0, 0.0], "gamma": 1.0, "coeffs": [[0.0]]},
-])
-def test_shape_estimate_json_malformed(doc):
-    with pytest.raises(ValueError):
-        shape_estimate_from_json(doc)
+# ---------------------------------------------------------------------------
+# vectorized paths against their loop and dense-matrix references
+
+SHAPES = {
+    "starfish": Starfish(0.3 - 0.4j, 0.125, 5),
+    "kite": Kite(0.6 + 0.8j, 0.65),
+    "ellipse": Ellipse(-0.3j, 1.3, 0.7),
+}
+
+
+@functools.cache
+def order24_table(shape):
+    return emt_table(sample(SHAPES[shape], 256), SOFT, 24)
+
+
+def estimate(shape, order, sigma2):
+    table = order24_table(shape)
+    if sigma2:
+        table = apply_noise(table, NoiseModel(sigma2, 11))
+    return reconstruct(table, SOFT, order)
+
+
+def direct_curve(est, theta_samples):
+    theta = 2.0 * math.pi * np.arange(theta_samples) / theta_samples
+    modes = np.exp(1j * np.outer(np.arange(est.coeffs.size), theta))
+    profile = 1.0 + 2.0 * (est.coeffs @ modes).real
+    return est.disk.a0 + est.disk.gamma * np.exp(1j * theta) * profile
+
+
+def dense_hausdorff(samples, truth_z):
+    dist = np.abs(samples[:, None] - truth_z[None, :])
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+
+
+def estimate_case(shape, order, sigma2):
+    est = estimate(shape, order, sigma2)
+    return reconstruct_curve(est, 512), sample(SHAPES[shape], 512), est.disk.a0
+
+
+def adversarial_case(kind):
+    samples, truth, center = estimate_case("starfish", 12, 1e-2)
+    rng = np.random.default_rng(5)
+    if kind == "center-outside":
+        center = 100.0 + 30.0j
+    elif kind == "permuted":
+        samples = rng.permutation(samples)
+    elif kind == "theta-4":
+        samples = reconstruct_curve(estimate("starfish", 12, 1e-2), 4)
+    elif kind == "point-cloud":
+        samples = rng.uniform(-2, 2, 300) + 1j * rng.uniform(-2, 2, 300)
+        center = None
+    elif kind == "identical":
+        samples = truth.z
+    elif kind == "nan":
+        samples = samples.copy()
+        samples[7] = complex(math.nan, 0.0)
+    return samples, truth, center
+
+
+CASES = [pytest.param(functools.partial(estimate_case, shape, order, sigma2),
+                      id=f"{shape}-order{order}-sigma2={sigma2}")
+         for shape in SHAPES for order in (6, 12, 24) for sigma2 in (0.0, 1e-4, 1e-2)]
+CASES += [pytest.param(functools.partial(adversarial_case, kind), id=kind)
+          for kind in ("center-outside", "permuted", "theta-4", "point-cloud",
+                       "identical", "nan")]
+
+
+@pytest.mark.parametrize("make", CASES)
+def test_shape_error_matches_dense_reference(make):
+    samples, truth, center = make()
+    got = shape_error(samples, truth, center=center).hausdorff
+    want = dense_hausdorff(samples, truth.z)
+    assert np.array_equal(got, want, equal_nan=True)
+    if samples is truth.z:
+        assert got == 0.0
+    if np.isnan(samples).any():
+        assert math.isnan(got)
+
+
+@pytest.mark.parametrize("shape,order,sigma2", [
+    ("starfish", 6, 0.0), ("kite", 12, 1e-4), ("ellipse", 24, 1e-2), ("starfish", 24, 1e-2)])
+@pytest.mark.parametrize("theta_samples", [512, 64, 24, 16, 5, 1])
+def test_reconstruct_curve_matches_direct_sum(shape, order, sigma2, theta_samples):
+    est = estimate(shape, order, sigma2)
+    want = direct_curve(est, theta_samples)
+    got = reconstruct_curve(est, theta_samples)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_shape_error_memory_is_subquadratic():
+    # the dense 4096 x 4096 complex distance matrix alone would take 256 MiB
+    truth = sample(Starfish(0.0, 0.125, 5), 4096)
+    samples = sample(Starfish(0.02 - 0.01j, 0.14, 5), 4096).z
+    tracemalloc.start()
+    try:
+        err = shape_error(samples, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert 0.0 < err.hausdorff < 0.1
+
+
+def loop_second_channel(delta, coeffs, gamma, mat):
+    mu_gap = mat.inclusion.mu - mat.background.mu
+    m1, m2 = mat.constants.m1, mat.constants.m2
+    order = delta.shape[0]
+    second = (delta[:, :, 0, 0] - delta[:, :, 1, 1]
+              + 1j * (delta[:, :, 0, 1] + delta[:, :, 1, 0]))
+    out = []
+    for n in range(1, order + 1):
+        for m in range(1, order + 1):
+            k = n + m + 2
+            if k > order - 1 or m2 == 0.0:
+                continue
+            denom = 16.0 * math.pi * n * m * gamma ** (n + m) * mu_gap * m1 * m2
+            value = complex(second[n - 1, m - 1]) / denom
+            out.append((n, m, k, value, abs(value - coeffs[k])))
+    return out
+
+
+@pytest.mark.parametrize("mat", [SOFT, STIFF])
+@pytest.mark.parametrize("shape,sigma2", [("starfish", 0.0), ("kite", 1e-4), ("ellipse", 1e-2)])
+def test_second_channel_matches_loop_reference(mat, shape, sigma2):
+    table = emt_table(sample(SHAPES[shape], 128), mat, 24)
+    if sigma2:
+        table = apply_noise(table, NoiseModel(sigma2, 3))
+    disk = estimate_disk(table, mat)
+    delta = deltas(modified_emts(table, disk.a0), disk.gamma, mat)
+    coeffs, diagnostics = fourier_coefficients(delta, disk.gamma, mat)
+    got = diagnostics["secondChannel"]
+    want = loop_second_channel(delta, coeffs, disk.gamma, mat)
+    assert len(got) == 210
+    assert [(e["n"], e["m"], e["k"]) for e in got] == [w[:3] for w in want]
+    eps = np.finfo(float).eps
+    for entry, (_, _, k, value, gap) in zip(got, want):
+        # the division is complex/real instead of complex/complex: a few ulp
+        assert abs(complex(*entry["value"]) - value) <= 4 * eps * abs(value)
+        scale = max(abs(value), abs(coeffs[k]))
+        assert abs(entry["firstChannelGap"] - gap) <= 4 * eps * scale
