@@ -40,6 +40,7 @@ from .geometry import (
     Disk,
     descriptor_from_json,
     descriptor_to_json,
+    json_number,
     sample,
 )
 from .materials import LameConstants, MaterialPair
@@ -90,8 +91,8 @@ class RunConfig:
 
 def _lame_from_json(data: dict, label: str) -> LameConstants:
     try:
-        return LameConstants(float(data["lambda"]), float(data["mu"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return LameConstants(json_number(data["lambda"]), json_number(data["mu"]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {label} material: {exc}") from exc
 
 
@@ -113,18 +114,19 @@ def load_config(path: str | Path, *, order: int | None = None,
             _lame_from_json(raw["materials"]["inclusion"], "inclusion"),
         )
         shape = descriptor_from_json(raw["shape"])
-        cfg_order = int(raw["order"])
+        cfg_order = json_number(raw["order"], integer=True)
         cfg_out = raw["outputDir"]
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
     noise = None
     if raw.get("noise") is not None:
         try:
-            noise = NoiseModel(float(raw["noise"]["sigma2"]), int(raw["noise"]["seed"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            noise = NoiseModel(json_number(raw["noise"]["sigma2"]),
+                               json_number(raw["noise"]["seed"], integer=True))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid noise block: {exc}") from exc
     if seed is not None and noise_var is None and noise is None:
         raise ConfigError("--seed given but no noise variance is configured")
@@ -143,11 +145,12 @@ def load_config(path: str | Path, *, order: int | None = None,
             shape=shape,
             order=order if order is not None else cfg_order,
             output_dir=Path(out if out is not None else cfg_out),
-            nodes=nodes if nodes is not None else int(raw.get("nodes", 256)),
+            nodes=(nodes if nodes is not None
+                   else json_number(raw.get("nodes", 256), integer=True)),
             noise=noise,
-            theta_samples=int(raw.get("thetaSamples", 512)),
+            theta_samples=json_number(raw.get("thetaSamples", 512), integer=True),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -325,7 +328,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             cmd_roundtrip(config)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
+        # a MemoryError here is an allocation the input sized beyond reach
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, InversionError, np.linalg.LinAlgError) as exc:

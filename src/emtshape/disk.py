@@ -1,33 +1,26 @@
 """Closed-form transmission solutions for a circular inclusion.
 
 On a disk the density basis phi_k(theta) = gamma^{-1} e^{i k theta}
-diagonalizes the transmission system, so densities, interior/exterior fields
-and every contracted moment are available in closed form.  These formulas are
-the reference values for the Nystrom solver and the anchor of the inversion.
+diagonalizes the transmission system, so the densities and every contracted
+moment are available in closed form.  These formulas are the reference values
+for the Nystrom solver and the anchor of the inversion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .materials import MaterialPair
 
 __all__ = [
-    "DiskSolution",
     "disk_density_coefficients",
-    "disk_solution",
-    "disk_interior_field",
-    "disk_exterior_field",
     "disk_modified_emt",
     "disk_emt_general",
     "disk_emt_table",
     "recentering_matrix",
 ]
-
-_RTOL = 1e-12
 
 
 def disk_density_coefficients(mat: MaterialPair, gamma: float, n: int, q: complex = 1.0):
@@ -45,59 +38,6 @@ def disk_density_coefficients(mat: MaterialPair, gamma: float, n: int, q: comple
     k = mat.constants
     scale = np.conj(q) * n * gamma**n
     return scale * k.m0, -2.0 * scale * k.m1 / k.alpha_tilde
-
-
-@dataclass(frozen=True)
-class DiskSolution:
-    """One diagonal transmission mode on a disk (a0, gamma)."""
-
-    mat: MaterialPair
-    center: complex
-    gamma: float
-    n: int
-    q: complex
-    c_minus_n: complex
-    d_minus_n: complex
-
-
-def disk_solution(mat: MaterialPair, center: complex, gamma: float, n: int,
-                  q: complex = 1.0) -> DiskSolution:
-    c, d = disk_density_coefficients(mat, gamma, n, q)
-    return DiskSolution(mat=mat, center=complex(center), gamma=float(gamma), n=n,
-                        q=complex(q), c_minus_n=c, d_minus_n=d)
-
-
-def disk_interior_field(sol: DiskSolution, z) -> np.ndarray:
-    """Interior single-layer field S~[psi](z), |z - a0| <= gamma.
-
-    Equals -(alpha~/2) (d_{-n}/n) gamma^{-n} conj((z-a0)^n); antiholomorphic,
-    vanishing at the center for every n >= 1.
-    """
-    w = np.asarray(z, dtype=complex) - sol.center
-    if np.any(np.abs(w) > sol.gamma * (1.0 + _RTOL)):
-        raise ValueError("point outside the closed disk")
-    k = sol.mat.constants
-    return (-0.5 * k.alpha_tilde * sol.d_minus_n / sol.n
-            * sol.gamma ** (-sol.n) * np.conj(w**sol.n))
-
-
-def disk_exterior_field(sol: DiskSolution, z) -> np.ndarray:
-    """Exterior single-layer field S[phi](z), |z - a0| >= gamma.
-
-    Halved closed form:
-        2 S[phi](z) = -alpha (c_{-n}/n) gamma^n (z-a0)^{-n}
-                      - beta conj(c_{-n}) ((z-a0) gamma^n conj((z-a0)^{-n-1})
-                                           - gamma^{n+2} conj((z-a0)^{-n-2})).
-    The beta bracket vanishes identically on |z - a0| = gamma, so the trace
-    reduces to the alpha term alone.
-    """
-    w = np.asarray(z, dtype=complex) - sol.center
-    if np.any(np.abs(w) < sol.gamma * (1.0 - _RTOL)):
-        raise ValueError("point inside the open disk")
-    k = sol.mat.constants
-    g, n, c = sol.gamma, sol.n, sol.c_minus_n
-    bracket = w * g**n * np.conj(w ** (-n - 1)) - g ** (n + 2) * np.conj(w ** (-n - 2))
-    return 0.5 * (-k.alpha * (c / n) * g**n * w ** (-n) - k.beta * np.conj(c) * bracket)
 
 
 def disk_modified_emt(mat: MaterialPair, gamma: float, n: int, m: int,

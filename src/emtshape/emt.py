@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryCurve
+from .geometry import BoundaryCurve, json_number
 from .materials import MaterialPair
 from .transmission import BackgroundField, solve_densities
 
@@ -135,18 +135,18 @@ def table_to_json(table: EmtTable) -> dict:
 
 def table_from_json(data: dict) -> EmtTable:
     try:
-        order = int(data["order"])
+        order = json_number(data["order"], integer=True)
         provenance_data = data["provenance"]
         entries = list(data["entries"])
         kind = "exact" if provenance_data is None else provenance_data["kind"]
         if kind == "exact":
             provenance = None
         elif kind == "noisy":
-            provenance = NoiseModel(float(provenance_data["sigma2"]),
-                                    int(provenance_data["seed"]))
+            provenance = NoiseModel(json_number(provenance_data["sigma2"]),
+                                    json_number(provenance_data["seed"], integer=True))
         else:
             raise ValueError(f"unknown provenance kind {kind!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed EMT table document: {exc}") from exc
     if order < 1:
         raise ValueError("order must be a positive integer")
@@ -157,9 +157,10 @@ def table_from_json(data: dict) -> EmtTable:
     values = np.full((order, order, 2, 2), np.nan)
     for entry in entries:
         try:
-            n, m, t, s = (int(entry[key]) for key in ("n", "m", "t", "s"))
-            value = float(entry["value"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n, m, t, s = (json_number(entry[key], integer=True)
+                          for key in ("n", "m", "t", "s"))
+            value = json_number(entry["value"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed EMT entry {entry!r}") from exc
         if not (1 <= n <= order and 1 <= m <= order and t in (1, 2) and s in (1, 2)):
             raise ValueError(f"EMT entry index {(n, m, t, s)} out of range")

@@ -9,6 +9,7 @@ Derivatives come from the descriptors analytically, never from differencing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,6 +28,7 @@ __all__ = [
     "winding_number",
     "descriptor_to_json",
     "descriptor_from_json",
+    "json_number",
 ]
 
 
@@ -170,8 +172,8 @@ class BoundaryCurve:
     """Quadrature-sampled closed curve.
 
     theta_j = 2 pi j / N; z, dz are nodal positions and analytic derivatives
-    (counterclockwise), normal = -i dz/|dz| is the unit outward normal, and
-    weight_j = (2 pi / N) |dz_j| are arc-length trapezoidal weights.
+    (counterclockwise), and weight_j = (2 pi / N) |dz_j| are arc-length
+    trapezoidal weights.
     """
 
     descriptor: CurveDescriptor
@@ -179,7 +181,6 @@ class BoundaryCurve:
     theta: np.ndarray
     z: np.ndarray
     dz: np.ndarray
-    normal: np.ndarray
     weight: np.ndarray
 
     @property
@@ -228,19 +229,36 @@ def sample(descriptor: CurveDescriptor, n: int = 256) -> BoundaryCurve:
     if winding_number(dz) != 1:
         raise ValueError("curve is not simple (tangent winding != 1)")
 
-    normal = -1j * dz / np.abs(dz)
     weight = (2.0 * math.pi / n) * np.abs(dz)
-    return BoundaryCurve(descriptor=descriptor, n=n, theta=theta, z=z, dz=dz,
-                         normal=normal, weight=weight)
+    return BoundaryCurve(descriptor=descriptor, n=n, theta=theta, z=z, dz=dz, weight=weight)
 
 
 def _c(value: complex) -> list[float]:
     return [float(np.real(value)), float(np.imag(value))]
 
 
+def json_number(value, integer: bool = False) -> float | int:
+    """A JSON number as a finite float, or as an int when ``integer`` is set.
+
+    Raises ValueError for bools and every other non-number, for NaN and
+    infinities, for magnitudes beyond float range and, with ``integer``,
+    for non-integral values (an integral float such as 3.0 is accepted).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {type(value).__name__}")
+    # false for NaN, for infinities and for ints that no float can hold
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError("expected a finite number within float range")
+    if not integer:
+        return float(value)
+    if value != int(value):
+        raise ValueError(f"expected an integer, got {value}")
+    return int(value)
+
+
 def _as_complex(pair) -> complex:
     re, im = pair
-    return complex(float(re), float(im))
+    return complex(json_number(re), json_number(im))
 
 
 def descriptor_to_json(d: CurveDescriptor) -> dict:
@@ -268,21 +286,21 @@ def descriptor_from_json(obj: dict) -> CurveDescriptor:
     try:
         kind = obj["kind"]
         if kind == "disk":
-            return Disk(_as_complex(obj["center"]), float(obj["radius"]))
+            return Disk(_as_complex(obj["center"]), json_number(obj["radius"]))
         if kind == "ellipse":
-            return Ellipse(_as_complex(obj["center"]),
-                           float(obj["semiAxisA"]), float(obj["semiAxisB"]))
+            return Ellipse(_as_complex(obj["center"]), json_number(obj["semiAxisA"]),
+                           json_number(obj["semiAxisB"]))
         if kind == "kite":
-            return Kite(_as_complex(obj["center"]), float(obj["coefficient"]))
+            return Kite(_as_complex(obj["center"]), json_number(obj["coefficient"]))
         if kind == "starfish":
-            return Starfish(_as_complex(obj["center"]),
-                            float(obj["modeAmplitude"]), int(obj["modeIndex"]))
+            return Starfish(_as_complex(obj["center"]), json_number(obj["modeAmplitude"]),
+                            json_number(obj["modeIndex"], integer=True))
         if kind == "perturbedDisk":
-            return PerturbedDisk(_as_complex(obj["center"]), float(obj["radius"]),
+            return PerturbedDisk(_as_complex(obj["center"]), json_number(obj["radius"]),
                                  tuple(_as_complex(c) for c in obj["coefficients"]))
         if kind == "fourierCurve":
             return FourierCurve(tuple(_as_complex(c) for c in obj["coefficients"]),
-                                int(obj.get("minIndex", 0)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                                json_number(obj.get("minIndex", 0), integer=True))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed curve descriptor: {exc}") from exc
     raise ValueError(f"unknown curve kind {kind!r}")

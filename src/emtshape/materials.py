@@ -67,7 +67,6 @@ class DerivedConstants:
     alpha_tilde: float
     beta_tilde: float
     kappa: float
-    kappa_tilde: float
     m0: float
     m1: float
     m2: float
@@ -103,11 +102,6 @@ class MaterialPair:
     # populated in __post_init__; declared for introspection
     constants: DerivedConstants = None  # type: ignore[assignment]
 
-    @property
-    def shear_matched(self) -> bool:
-        """True when mu~ == mu; the inclusion is invisible to the inversion."""
-        return self.background.mu == self.inclusion.mu
-
 
 def derive_constants(mat: MaterialPair) -> DerivedConstants:
     """Compute all derived scalar constants for a material pair.
@@ -123,7 +117,6 @@ def derive_constants(mat: MaterialPair) -> DerivedConstants:
     alpha, beta = _alpha_beta(bg)
     alpha_t, beta_t = _alpha_beta(inc)
     kappa = (bg.lam + 3.0 * bg.mu) / (bg.lam + bg.mu)
-    kappa_t = (inc.lam + 3.0 * inc.mu) / (inc.lam + inc.mu)
     denom = inc.mu * alpha + bg.mu * beta
     return DerivedConstants(
         alpha=alpha,
@@ -131,7 +124,6 @@ def derive_constants(mat: MaterialPair) -> DerivedConstants:
         alpha_tilde=alpha_t,
         beta_tilde=beta_t,
         kappa=kappa,
-        kappa_tilde=kappa_t,
         m0=2.0 * (inc.mu - bg.mu) / denom,
         m1=1.0 / denom,
         m2=beta * (bg.mu - inc.mu) / denom,

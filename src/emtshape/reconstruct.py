@@ -36,7 +36,8 @@ __all__ = [
 
 class InversionError(RuntimeError):
     """Raised when the EMT data admit no disk fit (wrong-signed leading entry,
-    matched shear moduli, or a table too small for Step 1)."""
+    matched shear moduli, or a table too small for Step 1), or when the
+    inversion overflows or is not finite."""
 
 
 @dataclass(frozen=True)
@@ -182,8 +183,14 @@ def reconstruct(table: EmtTable, mat: MaterialPair,
     sub = EmtTable(order, table.values[:order, :order], table.provenance)
     disk = estimate_disk(sub, mat)
     modified = modified_emts(sub, disk.a0)
-    gaps = deltas(modified, disk.gamma, mat)
+    try:
+        gaps = deltas(modified, disk.gamma, mat)
+    except OverflowError as exc:
+        raise InversionError(f"disk moments overflow at gamma = {disk.gamma:.6g}") from exc
     coeffs, diagnostics = fourier_coefficients(gaps, disk.gamma, mat)
+    if not (np.isfinite(disk.a0) and np.isfinite(coeffs).all()):
+        raise InversionError("the inversion of this table is not finite "
+                             f"(a0 = {disk.a0:.6g}, gamma = {disk.gamma:.6g})")
     return ShapeEstimate(disk, coeffs, diagnostics)
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "SolverError",
     "evaluate_background",
     "solve_densities",
-    "single_layer_offcurve",
     "residual_norms",
     "rigid_motion_residuals",
 ]
@@ -372,20 +371,3 @@ def residual_norms(curve: BoundaryCurve, mat: MaterialPair, field: BackgroundFie
     trace, traction = slice(0, 2 * n), slice(2 * n, 4 * n)
     return (wnorm(r[trace]) / max(wnorm(b[trace]), eps),
             wnorm(r[traction]) / max(wnorm(b[traction]), eps))
-
-
-# ---------------------------------------------------------------------------
-# off-curve evaluation
-
-def single_layer_offcurve(curve: BoundaryCurve, density: np.ndarray,
-                          alpha: float, beta: float, points) -> np.ndarray:
-    """Single-layer potential at points off the curve (plain trapezoidal rule;
-    the kernel is smooth away from the boundary)."""
-    pts = np.asarray(points, dtype=complex)
-    flat = pts.ravel()
-    diff = flat[:, None] - curve.z[None, :]
-    wphi = curve.weight * density
-    log_part = (alpha / (2.0 * math.pi)) * (np.log(np.abs(diff)) @ wphi)
-    const_part = -(beta / (4.0 * math.pi)) * np.sum(wphi)
-    k_part = -(beta / (4.0 * math.pi)) * ((diff / np.conj(diff)) @ (curve.weight * np.conj(density)))
-    return (log_part + const_part + k_part).reshape(pts.shape)

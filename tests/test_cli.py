@@ -7,6 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from emtshape.disk import disk_emt_table
+from emtshape.materials import LameConstants, MaterialPair
+
 BASE_CONFIG = {
     "materials": {"background": {"lambda": 1.5, "mu": 1.2},
                   "inclusion": {"lambda": 0.6, "mu": 0.4}},
@@ -19,6 +22,8 @@ BASE_CONFIG = {
     "thetaSamples": 128,
 }
 
+
+SOFT = MaterialPair(LameConstants(1.5, 1.2), LameConstants(0.6, 0.4))
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,6 +40,18 @@ def write_config(path, **overrides):
     config = {**BASE_CONFIG, **overrides}
     path.write_text(json.dumps(config))
     return config
+
+
+def table_doc(order, value):
+    """Exact table document with value(n, m, t, s) as its entries."""
+    idx = range(1, order + 1)
+    return {"order": order, "provenance": {"kind": "exact"},
+            "entries": [{"n": n, "m": m, "t": t, "s": s, "value": value(n, m, t, s)}
+                        for n in idx for m in idx for t in (1, 2) for s in (1, 2)]}
+
+
+def unit_diagonal(n, m, t, s):
+    return float(t == s and n == m)
 
 
 def test_roundtrip_outputs(tmp_path):
@@ -131,6 +148,16 @@ def test_missing_config_exits_2(tmp_path):
     lambda c: c.update(shape={"kind": "fourierCurve", "minIndex": 1e400,
                               "coefficients": [[1.0, 0.0]]}),
     lambda c: c.update(shape={"kind": "disk", "center": [1e400, 0.0], "radius": 1.0}),
+    lambda c: c.update(order=2.7),
+    lambda c: c.update(order=True),
+    lambda c: c.update(nodes=64.9),
+    lambda c: c["materials"]["background"].update({"lambda": "1.5"}),
+    lambda c: c.update(shape={"kind": "disk", "center": "12", "radius": 1.0}),
+    lambda c: c.update(noise={"sigma2": 0.01, "seed": 3.9}),
+    lambda c: c.update(shape={"kind": "starfish", "center": [0.0, 0.0],
+                              "modeAmplitude": 0.1, "modeIndex": 5.5}),
+    lambda c: c.update(shape={"kind": "fourierCurve", "minIndex": 0.5,
+                              "coefficients": [[0.0, 0.0], [1.0, 0.0]]}),
 ])
 def test_invalid_config_exits_2(tmp_path, break_config):
     config = {**BASE_CONFIG}
@@ -139,6 +166,7 @@ def test_invalid_config_exits_2(tmp_path, break_config):
     (tmp_path / "config.json").write_text(json.dumps(config))
     result = run_cli("forward", "config.json", cwd=tmp_path)
     assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("command,overrides,code", [
@@ -154,13 +182,12 @@ def test_invalid_config_exits_2(tmp_path, break_config):
         "shape": {"kind": "starfish", "center": [0.0, 0.0],
                   "modeAmplitude": 1.0, "modeIndex": 1},
     }, 2, id="reconstruct-unsampleable-shape"),
+    # far beyond any address space, so the allocation fails at once
+    pytest.param("roundtrip", {"thetaSamples": 10**16}, 2, id="roundtrip-unallocatable-theta"),
 ])
 def test_config_contract(tmp_path, command, overrides, code):
     write_config(tmp_path / "config.json", **overrides)
-    entries = [{"n": n, "m": m, "t": t, "s": s, "value": float(t == s and n == m)}
-               for n in (1, 2) for m in (1, 2) for t in (1, 2) for s in (1, 2)]
-    (tmp_path / "table.json").write_text(json.dumps(
-        {"order": 2, "provenance": {"kind": "exact"}, "entries": entries}))
+    (tmp_path / "table.json").write_text(json.dumps(table_doc(2, unit_diagonal)))
     args = ("config.json", "table.json") if command == "reconstruct" else ("config.json",)
     result = run_cli(command, *args, cwd=tmp_path)
     assert result.returncode == code, result.stderr
@@ -184,13 +211,34 @@ def test_negative_seed_flag_exits_2(tmp_path):
 
 def test_contradictory_table_exits_1(tmp_path):
     write_config(tmp_path / "config.json")
-    entries = [{"n": n, "m": m, "t": t, "s": s, "value": 1.0}
-               for n in (1, 2) for m in (1, 2) for t in (1, 2) for s in (1, 2)]
-    (tmp_path / "table.json").write_text(json.dumps(
-        {"order": 2, "provenance": {"kind": "exact"}, "entries": entries}))
+    (tmp_path / "table.json").write_text(json.dumps(table_doc(2, lambda *_: 1.0)))
     result = run_cli("reconstruct", "config.json", "table.json", cwd=tmp_path)
     assert result.returncode == 1
     assert "numerical failure" in result.stderr
+
+
+def overflowing_table():
+    # gamma ~ 1e100, so the centered disk moments gamma^(n+m) overflow
+    return table_doc(2, lambda n, m, t, s: (-1e200 if n == 1 else -1.0)
+                     if (n == m and t == s) else 0.0)
+
+
+def far_centered_table():
+    # E^(1,1)_12 = 1e60 puts a0 near -3e58; the recentered order-6 table is not finite
+    values = disk_emt_table(SOFT, 1.0, 0.0, 6)
+    return table_doc(6, lambda n, m, t, s: 1e60 if (t, s) == (1, 1) and {n, m} == {1, 2}
+                     else float(values[n - 1, m - 1, t - 1, s - 1]))
+
+
+@pytest.mark.parametrize("make_table", [overflowing_table, far_centered_table])
+def test_non_finite_inversion_exits_1(tmp_path, make_table):
+    write_config(tmp_path / "config.json", order=6)
+    (tmp_path / "table.json").write_text(json.dumps(make_table()))
+    result = run_cli("reconstruct", "config.json", "table.json", cwd=tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert "numerical failure" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out" / "shape_estimate.json").exists()
 
 
 def test_invalid_table_schema_exits_2(tmp_path):
@@ -207,12 +255,14 @@ def test_invalid_table_schema_exits_2(tmp_path):
     lambda doc: doc.update(provenance="exact"),
     lambda doc: doc.update(entries=5),
     lambda doc: doc.update(order=10**7, entries=[]),
+    lambda doc: doc.update(order=2.5),
+    lambda doc: doc["entries"][0].update(t=1.7),
+    lambda doc: doc["entries"][0].update(value="1.0"),
+    lambda doc: doc.update(provenance={"kind": "noisy", "sigma2": 0.01, "seed": 2.5}),
 ])
 def test_invalid_table_exits_2(tmp_path, break_table):
     write_config(tmp_path / "config.json")
-    doc = {"order": 2, "provenance": {"kind": "exact"},
-           "entries": [{"n": n, "m": m, "t": t, "s": s, "value": float(t == s and n == m)}
-                       for n in (1, 2) for m in (1, 2) for t in (1, 2) for s in (1, 2)]}
+    doc = table_doc(2, unit_diagonal)
     break_table(doc)
     (tmp_path / "table.json").write_text(json.dumps(doc))
     result = run_cli("reconstruct", "config.json", "table.json", cwd=tmp_path)

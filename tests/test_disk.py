@@ -7,15 +7,10 @@ from emtshape.disk import (
     disk_density_coefficients,
     disk_emt_general,
     disk_emt_table,
-    disk_exterior_field,
-    disk_interior_field,
     disk_modified_emt,
-    disk_solution,
     recentering_matrix,
 )
-from emtshape.geometry import Disk, sample
 from emtshape.materials import LameConstants, MaterialPair
-from emtshape.transmission import single_layer_offcurve
 
 SOFT = MaterialPair(LameConstants(1.5, 1.2), LameConstants(0.6, 0.4))
 STIFF = MaterialPair(LameConstants(1.5, 1.2), LameConstants(1.8, 1.5))
@@ -41,52 +36,6 @@ def test_density_coefficients_antilinear_in_q():
 def test_density_coefficients_degree_validation():
     with pytest.raises(ValueError):
         disk_density_coefficients(SOFT, 1.0, 0)
-
-
-@pytest.mark.parametrize("mat", [SOFT, STIFF])
-@pytest.mark.parametrize("n,q", [(1, 1.0), (2, 1.0j), (3, 0.4 - 0.2j)])
-def test_interior_field_matches_quadrature(mat, n, q):
-    center, gamma = -0.9 + 1.2j, 0.8
-    sol = disk_solution(mat, center, gamma, n, q)
-    curve = sample(Disk(center, gamma), 256)
-    psi = sol.d_minus_n / gamma * np.exp(-1j * n * curve.theta)
-    k = mat.constants
-    pts = center + np.array([0.0, 0.3 + 0.2j, -0.5j, 0.6])
-    numeric = single_layer_offcurve(curve, psi, k.alpha_tilde, k.beta_tilde, pts)
-    assert np.max(np.abs(numeric - disk_interior_field(sol, pts))) < 1e-10
-
-
-@pytest.mark.parametrize("mat", [SOFT, STIFF])
-@pytest.mark.parametrize("n,q", [(1, 1.0), (2, 1.0j), (4, -0.7 + 0.1j)])
-def test_exterior_field_matches_quadrature(mat, n, q):
-    center, gamma = 0.2 - 0.4j, 1.1
-    sol = disk_solution(mat, center, gamma, n, q)
-    curve = sample(Disk(center, gamma), 256)
-    phi = sol.c_minus_n / gamma * np.exp(-1j * n * curve.theta)
-    k = mat.constants
-    pts = center + np.array([2.0, 1.5j, -1.8 + 0.4j, 3.0 - 3.0j])
-    numeric = single_layer_offcurve(curve, phi, k.alpha, k.beta, pts)
-    assert np.max(np.abs(numeric - disk_exterior_field(sol, pts))) < 1e-10
-
-
-@pytest.mark.parametrize("n,q", [(1, 1.0), (2, 1.0j), (3, 1.0)])
-def test_boundary_trace_jump_equals_background(n, q):
-    # S~[psi] - S[phi] = conj(q w^n) on |w| = gamma
-    center, gamma = 0.1 + 0.3j, 0.9
-    sol = disk_solution(SOFT, center, gamma, n, q)
-    theta = 2.0 * math.pi * np.arange(37) / 37
-    zb = center + gamma * np.exp(1j * theta)
-    jump = disk_interior_field(sol, zb) - disk_exterior_field(sol, zb)
-    h = np.conj(q * (zb - center) ** n)
-    assert np.max(np.abs(jump - h)) < 1e-13
-
-
-def test_field_domain_validation():
-    sol = disk_solution(SOFT, 0.0, 1.0, 1)
-    with pytest.raises(ValueError, match="outside"):
-        disk_interior_field(sol, 1.5)
-    with pytest.raises(ValueError, match="inside"):
-        disk_exterior_field(sol, 0.5)
 
 
 def test_modified_emt_diagonal():

@@ -139,6 +139,7 @@ def test_json_round_trip_exact_and_noisy():
     lambda doc: doc["entries"][0].update(n=99),
     lambda doc: doc.update(provenance={"kind": "mystery"}),
     lambda doc: doc.update(order="two"),
+    lambda doc: doc["entries"][0].update(value=True),
 ])
 def test_json_malformed_documents(mutate):
     table = emt_table(sample(Disk(0.0, 1.0), 32), SOFT, 2)

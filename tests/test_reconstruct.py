@@ -59,6 +59,27 @@ def test_estimate_disk_rejects_contradictory_sign():
         estimate_disk(EmtTable(2, values), SOFT)
 
 
+def _overflowing_values():
+    values = np.zeros((2, 2, 2, 2))
+    values[0, 0] = -1e200 * np.eye(2)
+    values[1, 1] = -np.eye(2)
+    return values
+
+
+def _far_centered_values():
+    values = disk_emt_table(SOFT, 1.0, 0.0, 6).copy()
+    values[0, 1, 0, 0] = values[1, 0, 0, 0] = 1e60
+    return values
+
+
+@pytest.mark.parametrize("make,match", [(_overflowing_values, "overflow"),
+                                        (_far_centered_values, "not finite")])
+def test_reconstruct_rejects_non_finite_inversion(make, match):
+    values = make()
+    with np.errstate(all="ignore"), pytest.raises(InversionError, match=match):
+        reconstruct(EmtTable(values.shape[0], values), SOFT)
+
+
 def test_disk_estimate_validation():
     with pytest.raises(ValueError):
         DiskEstimate(0.0, -1.0)
