@@ -11,13 +11,14 @@ A run is configured by a single JSON document
       "order": 6,
       "nodes": 256,
       "noise": {"sigma2": 0.05, "seed": 7},
-      "outputDir": "out",
-      "thetaSamples": 512
+      "outputDir": "out"
     }
 
-with ``nodes``, ``noise`` and ``thetaSamples`` optional.  The flags
+with ``nodes`` and ``noise`` optional and no other keys; ``order`` must stay
+below ``nodes``/2, the highest mode the quadrature resolves.  The flags
 ``--order``, ``--nodes``, ``--noise-var``, ``--seed`` and ``--out`` override
-the corresponding fields.  Exit codes: 0 success, 1 numerical failure,
+the corresponding fields.  The recovered and the true boundary are compared
+at THETA_SAMPLES parameters.  Exit codes: 0 success, 1 numerical failure,
 2 configuration error.  Outputs carry no timestamps, so identical
 configurations produce byte-identical files.
 """
@@ -66,6 +67,10 @@ __all__ = [
 ]
 
 
+THETA_SAMPLES = 512
+_CONFIG_KEYS = {"materials", "shape", "order", "nodes", "noise", "outputDir"}
+
+
 class ConfigError(ValueError):
     """Configuration document or command line is invalid."""
 
@@ -78,15 +83,16 @@ class RunConfig:
     output_dir: Path
     nodes: int = 256
     noise: NoiseModel | None = None
-    theta_samples: int = 512
 
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ConfigError("order must be a positive integer")
         if self.nodes < 4 or self.nodes % 2:
             raise ConfigError("nodes must be an even integer >= 4")
-        if self.theta_samples < 4 or self.theta_samples % 2:
-            raise ConfigError("thetaSamples must be an even integer >= 4")
+        # z^order has mode `order` even on a disk; the grid resolves 2|k| < nodes
+        if 2 * self.order >= self.nodes:
+            raise ConfigError(f"order {self.order} needs nodes > {2 * self.order}, "
+                              f"got {self.nodes}")
 
 
 def _lame_from_json(data: dict, label: str) -> LameConstants:
@@ -108,6 +114,9 @@ def load_config(path: str | Path, *, order: int | None = None,
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
         materials = MaterialPair(
             _lame_from_json(raw["materials"]["background"], "background"),
@@ -148,7 +157,6 @@ def load_config(path: str | Path, *, order: int | None = None,
             nodes=(nodes if nodes is not None
                    else json_number(raw.get("nodes", 256), integer=True)),
             noise=noise,
-            theta_samples=json_number(raw.get("thetaSamples", 512), integer=True),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -216,12 +224,12 @@ def cmd_reconstruct(config: RunConfig,
     """Invert a table; write estimate JSON, boundary CSV, and SVG overlay.
 
     Returns the estimate, the recovered boundary samples and the true
-    boundary, both at ``thetaSamples`` parameters.
+    boundary, both at THETA_SAMPLES parameters.
     """
     order = min(config.order, table.order)
     estimate = reconstruct(table, config.materials, order)
-    samples = reconstruct_curve(estimate, config.theta_samples)
-    truth = _sample_shape(config.shape, config.theta_samples)
+    samples = reconstruct_curve(estimate, THETA_SAMPLES)
+    truth = _sample_shape(config.shape, THETA_SAMPLES)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     _write_json(config.output_dir / "shape_estimate.json", shape_estimate_to_json(estimate))
     _write_boundary_csv(config.output_dir / "boundary.csv", samples)

@@ -81,23 +81,18 @@ class EmtTable:
 def emt_table(curve: BoundaryCurve, mat: MaterialPair, order: int) -> EmtTable:
     """All entries with n, m <= order and t, s in {1, 2}.
 
-    The transmission system is factorized once; the 2*order densities are
-    solved simultaneously and reused across every test field.
+    The transmission system is factorized once; the 2*order fields h_n^(t)
+    serve both as right-hand sides and as test fields, so the table is one
+    product of the stacked densities with the stacked field values.
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
-    index = [(n, t) for n in range(1, order + 1) for t in (1, 2)]
-    pairs = solve_densities(curve, mat,
-                            [BackgroundField.from_pair(mat, t, n) for n, t in index])
-    tests = np.stack([
-        BackgroundField.from_pair(mat, s, m).values(curve.z)
-        for m in range(1, order + 1) for s in (1, 2)
-    ])
-    values = np.empty((order, order, 2, 2))
-    for (n, t), pair in zip(index, pairs):
-        row = tests @ (curve.weight * np.conj(pair.phi))
-        values[n - 1, :, t - 1, :] = row.real.reshape(order, 2)
-    return EmtTable(order, values)
+    # rows (n, t) and columns (m, s) flattened as 2(n-1) + (t-1)
+    fields = [BackgroundField.from_pair(mat, t, n) for n in range(1, order + 1) for t in (1, 2)]
+    phi = np.stack([pair.phi for pair in solve_densities(curve, mat, fields)])
+    tests = np.stack([f.values(curve.z) for f in fields])
+    values = ((np.conj(phi) * curve.weight) @ tests.T).real
+    return EmtTable(order, values.reshape(order, 2, order, 2).transpose(0, 2, 1, 3))
 
 
 def apply_noise(table: EmtTable, noise: NoiseModel) -> EmtTable:

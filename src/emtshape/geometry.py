@@ -1,9 +1,11 @@
-"""Smooth closed boundary curves: analytic descriptors and quadrature sampling.
+"""Smooth closed boundary curves: Fourier-mode descriptors and quadrature sampling.
 
 Curves are parametrized over theta in [0, 2pi) with positions identified with
-complex numbers.  Sampling is uniform in theta with arc-length trapezoidal
-weights, which is spectrally accurate for the analytic shapes used here.
-Derivatives come from the descriptors analytically, never from differencing.
+complex numbers.  Every descriptor is a finite Fourier series
+z(theta) = sum_k c_k e^{i k theta}, listed by its ``modes()``, and
+``fourier_series`` evaluates such a series on the uniform grid.  Sampling
+uses arc-length trapezoidal weights, which is spectrally accurate for these
+shapes; z' is the series of the i k c_k, never a difference quotient.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "FourierCurve",
     "CurveDescriptor",
     "BoundaryCurve",
+    "fourier_series",
     "sample",
     "winding_number",
     "descriptor_to_json",
@@ -41,11 +44,8 @@ class Disk:
         if not self.radius > 0:
             raise ValueError(f"disk radius must be positive, got {self.radius}")
 
-    def point(self, theta):
-        return self.center + self.radius * np.exp(1j * theta)
-
-    def derivative(self, theta):
-        return 1j * self.radius * np.exp(1j * theta)
+    def modes(self) -> tuple[list[int], list[complex]]:
+        return [0, 1], [self.center, self.radius]
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,9 @@ class Ellipse:
         if not (self.semi_axis_a > 0 and self.semi_axis_b > 0):
             raise ValueError("ellipse semi-axes must be positive")
 
-    def point(self, theta):
-        return self.center + self.semi_axis_a * np.cos(theta) + 1j * self.semi_axis_b * np.sin(theta)
-
-    def derivative(self, theta):
-        return -self.semi_axis_a * np.sin(theta) + 1j * self.semi_axis_b * np.cos(theta)
+    def modes(self) -> tuple[list[int], list[complex]]:
+        a, b = self.semi_axis_a, self.semi_axis_b
+        return [0, 1, -1], [self.center, (a + b) / 2, (a - b) / 2]
 
 
 @dataclass(frozen=True)
@@ -72,11 +70,9 @@ class Kite:
     center: complex
     coefficient: float
 
-    def point(self, theta):
-        return self.center + np.exp(1j * theta) + self.coefficient * np.cos(2.0 * theta)
-
-    def derivative(self, theta):
-        return 1j * np.exp(1j * theta) - 2.0 * self.coefficient * np.sin(2.0 * theta)
+    def modes(self) -> tuple[list[int], list[complex]]:
+        half = self.coefficient / 2
+        return [0, 1, 2, -2], [self.center, 1.0, half, half]
 
 
 @dataclass(frozen=True)
@@ -91,15 +87,9 @@ class Starfish:
         if not (isinstance(self.mode_index, int) and self.mode_index >= 1):
             raise ValueError(f"mode index must be a positive integer, got {self.mode_index}")
 
-    def point(self, theta):
-        r = 1.0 + 2.0 * self.mode_amplitude * np.cos(self.mode_index * theta)
-        return self.center + r * np.exp(1j * theta)
-
-    def derivative(self, theta):
-        k = self.mode_index
-        r = 1.0 + 2.0 * self.mode_amplitude * np.cos(k * theta)
-        dr = -2.0 * self.mode_amplitude * k * np.sin(k * theta)
-        return (dr + 1j * r) * np.exp(1j * theta)
+    def modes(self) -> tuple[list[int], list[complex]]:
+        k, amp = self.mode_index, self.mode_amplitude
+        return [0, 1, 1 + k, 1 - k], [self.center, 1.0, amp, amp]
 
 
 @dataclass(frozen=True)
@@ -108,7 +98,8 @@ class PerturbedDisk:
 
     ``coefficients[k]`` is the (already epsilon-scaled) k-th complex mode of
     the radial perturbation, k = 0, 1, ...; this is the class the
-    reconstruction produces.
+    reconstruction produces, and ``reconstruct.reconstruct_curve`` samples
+    an estimate through its modes.
     """
 
     center: complex
@@ -120,22 +111,13 @@ class PerturbedDisk:
             raise ValueError(f"disk radius must be positive, got {self.radius}")
         object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
 
-    def _profile(self, theta):
-        r = np.zeros_like(np.asarray(theta, dtype=float), dtype=complex)
-        dr = np.zeros_like(r)
-        for k, c in enumerate(self.coefficients):
-            e = c * np.exp(1j * k * theta)
-            r += e
-            dr += 1j * k * e
-        return 1.0 + 2.0 * r.real, 2.0 * dr.real
-
-    def point(self, theta):
-        r, _ = self._profile(theta)
-        return self.center + self.radius * r * np.exp(1j * theta)
-
-    def derivative(self, theta):
-        r, dr = self._profile(theta)
-        return self.radius * (dr + 1j * r) * np.exp(1j * theta)
+    def modes(self) -> tuple[list[int], list[complex]]:
+        # 2 Re{c e^{ik theta}} = c e^{ik theta} + conj(c) e^{-ik theta}
+        k, c = [0, 1], [self.center, self.radius]
+        for j, cj in enumerate(self.coefficients):
+            k += [1 + j, 1 - j]
+            c += [self.radius * cj, self.radius * cj.conjugate()]
+        return k, c
 
 
 @dataclass(frozen=True)
@@ -150,18 +132,9 @@ class FourierCurve:
             raise ValueError("fourier curve needs at least one coefficient")
         object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
 
-    def point(self, theta):
-        z = np.zeros_like(np.asarray(theta, dtype=float), dtype=complex)
-        for j, c in enumerate(self.coefficients):
-            z += c * np.exp(1j * (self.min_index + j) * theta)
-        return z
-
-    def derivative(self, theta):
-        dz = np.zeros_like(np.asarray(theta, dtype=float), dtype=complex)
-        for j, c in enumerate(self.coefficients):
-            k = self.min_index + j
-            dz += 1j * k * c * np.exp(1j * k * theta)
-        return dz
+    def modes(self) -> tuple[list[int], list[complex]]:
+        k0 = self.min_index
+        return list(range(k0, k0 + len(self.coefficients))), list(self.coefficients)
 
 
 CurveDescriptor = Union[Disk, Ellipse, Kite, Starfish, PerturbedDisk, FourierCurve]
@@ -171,7 +144,7 @@ CurveDescriptor = Union[Disk, Ellipse, Kite, Starfish, PerturbedDisk, FourierCur
 class BoundaryCurve:
     """Quadrature-sampled closed curve.
 
-    theta_j = 2 pi j / N; z, dz are nodal positions and analytic derivatives
+    theta_j = 2 pi j / N; z, dz are nodal positions and exact derivatives
     (counterclockwise), and weight_j = (2 pi / N) |dz_j| are arc-length
     trapezoidal weights.
     """
@@ -197,20 +170,38 @@ def winding_number(w) -> np.ndarray:
     return np.rint(inc.sum(axis=-1) / (2.0 * math.pi)).astype(int)
 
 
+def fourier_series(k, c, n: int) -> np.ndarray:
+    """sum_m c[m] e^{i k[m] theta_j} at theta_j = 2 pi j / n, j = 0..n-1.
+
+    e^{ik theta_j} depends on k mod n only: the modes fold into n slots and
+    one inverse FFT gives the grid values.  The fold takes each k as an
+    exact Python integer, so an index of any size folds without overflow.
+    """
+    folded = np.zeros(n, dtype=complex)
+    np.add.at(folded, [int(ki) % n for ki in k], c)
+    return np.fft.ifft(folded, norm="forward")
+
+
 def sample(descriptor: CurveDescriptor, n: int = 256) -> BoundaryCurve:
     """Sample a descriptor at n uniform parameters.
 
     n must be even (the singular-kernel quadrature downstream needs it) and
-    at least 4.  Orientation is normalized to counterclockwise; degenerate or
+    at least 4, and the grid must resolve every nonzero mode (2|k| < n).
+    Orientation is normalized to counterclockwise; degenerate or
     self-intersecting parametrizations are rejected via the tangent-winding
     spot check.
     """
     if n % 2 != 0 or n < 4:
         raise ValueError(f"node count must be even and >= 4, got {n}")
+    k, c = descriptor.modes()
+    unresolved = [ki for ki, ci in zip(k, c) if ci != 0 and 2 * abs(ki) >= n]
+    if unresolved:
+        raise ValueError(f"mode {max(unresolved, key=abs)} is not resolved by "
+                         f"{n} nodes (needs 2|k| < n)")
     theta = 2.0 * math.pi * np.arange(n) / n
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.asarray(descriptor.point(theta), dtype=complex)
-        dz = np.asarray(descriptor.derivative(theta), dtype=complex)
+        z = fourier_series(k, c, n)
+        dz = fourier_series(k, [1j * ki * ci for ki, ci in zip(k, c)], n)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(dz))):
         raise ValueError("curve points or derivatives are not finite")
 

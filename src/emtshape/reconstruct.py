@@ -16,7 +16,7 @@ import numpy as np
 
 from .disk import disk_modified_emt, recentering_matrix
 from .emt import EmtTable
-from .geometry import BoundaryCurve
+from .geometry import BoundaryCurve, PerturbedDisk, fourier_series
 from .materials import MaterialPair
 
 __all__ = [
@@ -195,15 +195,14 @@ def reconstruct(table: EmtTable, mat: MaterialPair,
 
 
 def reconstruct_curve(est: ShapeEstimate, theta_samples: int) -> np.ndarray:
-    """Boundary samples a0 + gamma e^{i theta} (1 + 2 Re sum eps*h_k e^{ik theta})."""
+    """Boundary samples a0 + gamma e^{i theta} (1 + 2 Re sum eps*h_k e^{ik theta}):
+    the estimate's PerturbedDisk at theta_j = 2 pi j / theta_samples.  It
+    skips the checks of geometry.sample, since a noisy estimate need be
+    neither simple nor resolved by the sample count."""
     if theta_samples < 1:
         raise ValueError("theta_samples must be positive")
-    theta = 2.0 * math.pi * np.arange(theta_samples) / theta_samples
-    # e^{ik theta_j} depends on k mod theta_samples only: fold, then one FFT
-    folded = np.zeros(theta_samples, dtype=complex)
-    np.add.at(folded, np.arange(est.coeffs.size) % theta_samples, est.coeffs)
-    profile = 1.0 + 2.0 * np.fft.ifft(folded, norm="forward").real
-    return est.disk.a0 + est.disk.gamma * np.exp(1j * theta) * profile
+    curve = PerturbedDisk(est.disk.a0, est.disk.gamma, tuple(est.coeffs))
+    return fourier_series(*curve.modes(), theta_samples)
 
 
 def shape_error(samples: np.ndarray, truth: BoundaryCurve,

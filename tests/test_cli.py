@@ -19,7 +19,6 @@ BASE_CONFIG = {
     "nodes": 64,
     "noise": None,
     "outputDir": "out",
-    "thetaSamples": 128,
 }
 
 
@@ -70,7 +69,7 @@ def test_roundtrip_outputs(tmp_path):
 
     csv_lines = (out / "boundary.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "theta,x,y"
-    assert len(csv_lines) == 1 + 128
+    assert len(csv_lines) == 1 + 512
     theta, x, y = (float(v) for v in csv_lines[1].split(","))
     assert theta == 0.0
     assert np.isfinite(x) and np.isfinite(y)
@@ -140,7 +139,7 @@ def test_missing_config_exits_2(tmp_path):
     lambda c: c["materials"]["inclusion"].update({"lambda": 1e400, "mu": 1.5}),
     lambda c: c.update(order=1e400),
     lambda c: c.update(nodes=1e400),
-    lambda c: c.update(thetaSamples=1e400),
+    lambda c: c.update(thetaSamples=512),
     lambda c: c.update(noise={"sigma2": 0.01, "seed": 1e400}),
     lambda c: c.update(noise={"sigma2": 0.01, "seed": -1}),
     lambda c: c.update(shape={"kind": "starfish", "center": [0.0, 0.0],
@@ -158,6 +157,9 @@ def test_missing_config_exits_2(tmp_path):
                               "modeAmplitude": 0.1, "modeIndex": 5.5}),
     lambda c: c.update(shape={"kind": "fourierCurve", "minIndex": 0.5,
                               "coefficients": [[0.0, 0.0], [1.0, 0.0]]}),
+    lambda c: c.update(shape={"kind": "starfish", "center": [0.0, 0.0],
+                              "modeAmplitude": 0.1, "modeIndex": 40}),
+    lambda c: c.update(order=32, nodes=64),
 ])
 def test_invalid_config_exits_2(tmp_path, break_config):
     config = {**BASE_CONFIG}
@@ -170,9 +172,6 @@ def test_invalid_config_exits_2(tmp_path, break_config):
 
 
 @pytest.mark.parametrize("command,overrides,code", [
-    pytest.param("roundtrip", {"thetaSamples": 257}, 2, id="roundtrip-odd-theta"),
-    pytest.param("roundtrip", {"thetaSamples": 2}, 2, id="roundtrip-few-theta"),
-    pytest.param("reconstruct", {"thetaSamples": 257}, 2, id="reconstruct-odd-theta"),
     pytest.param("roundtrip", {"order": 1}, 2, id="roundtrip-order-1"),
     pytest.param("reconstruct", {"order": 1}, 2, id="reconstruct-order-1"),
     pytest.param("forward", {"order": 1}, 0, id="forward-order-1"),
@@ -183,7 +182,7 @@ def test_invalid_config_exits_2(tmp_path, break_config):
                   "modeAmplitude": 1.0, "modeIndex": 1},
     }, 2, id="reconstruct-unsampleable-shape"),
     # far beyond any address space, so the allocation fails at once
-    pytest.param("roundtrip", {"thetaSamples": 10**16}, 2, id="roundtrip-unallocatable-theta"),
+    pytest.param("roundtrip", {"nodes": 10**16}, 2, id="roundtrip-unallocatable-nodes"),
 ])
 def test_config_contract(tmp_path, command, overrides, code):
     write_config(tmp_path / "config.json", **overrides)

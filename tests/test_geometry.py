@@ -12,6 +12,7 @@ from emtshape.geometry import (
     Starfish,
     descriptor_from_json,
     descriptor_to_json,
+    fourier_series,
     json_number,
     sample,
     winding_number,
@@ -96,16 +97,76 @@ def test_perturbed_disk_single_mode():
     assert np.allclose(np.abs(curve.z), 1.0 + 0.04 * np.cos(3 * curve.theta))
 
 
-@pytest.mark.parametrize("descriptor", [
+DESCRIPTORS = [
     Disk(0.1 + 0.2j, 0.9),
     Ellipse(-0.3j, 1.3, 0.7),
     Kite(0.6 + 0.8j, 0.65),
     Starfish(-0.9 + 1.2j, 0.125, 5),
     PerturbedDisk(0.05j, 1.02, (0.01, 0.0, 0.003 - 0.001j)),
     FourierCurve((0.1, 0.0, 1.0, 0.05j), min_index=-1),
-])
+]
+
+
+@pytest.mark.parametrize("descriptor", DESCRIPTORS)
 def test_descriptor_json_round_trip(descriptor):
     assert descriptor_from_json(descriptor_to_json(descriptor)) == descriptor
+
+
+def closed_form(d, theta):
+    """z(theta) and z'(theta) of a descriptor, written out term by term."""
+    e = np.exp(1j * theta)
+    if isinstance(d, Disk):
+        return d.center + d.radius * e, 1j * d.radius * e
+    if isinstance(d, Ellipse):
+        a, b = d.semi_axis_a, d.semi_axis_b
+        return (d.center + a * np.cos(theta) + 1j * b * np.sin(theta),
+                -a * np.sin(theta) + 1j * b * np.cos(theta))
+    if isinstance(d, Kite):
+        c = d.coefficient
+        return (d.center + e + c * np.cos(2 * theta),
+                1j * e - 2 * c * np.sin(2 * theta))
+    if isinstance(d, Starfish):
+        k, amp = d.mode_index, d.mode_amplitude
+        r = 1 + 2 * amp * np.cos(k * theta)
+        dr = -2 * amp * k * np.sin(k * theta)
+        return d.center + r * e, (dr + 1j * r) * e
+    if isinstance(d, PerturbedDisk):
+        r = np.ones_like(theta)
+        dr = np.zeros_like(theta)
+        for k, c in enumerate(d.coefficients):
+            r = r + 2 * (c * np.exp(1j * k * theta)).real
+            dr = dr + 2 * (1j * k * c * np.exp(1j * k * theta)).real
+        return d.center + d.radius * r * e, d.radius * (dr + 1j * r) * e
+    ks = d.min_index + np.arange(len(d.coefficients))
+    terms = np.array(d.coefficients)[:, None] * np.exp(1j * np.outer(ks, theta))
+    return terms.sum(axis=0), (1j * ks[:, None] * terms).sum(axis=0)
+
+
+@pytest.mark.parametrize("n", [16, 64, 512])
+@pytest.mark.parametrize("descriptor", DESCRIPTORS)
+def test_modes_match_closed_forms(descriptor, n):
+    theta = 2.0 * math.pi * np.arange(n) / n
+    z, dz = closed_form(descriptor, theta)
+    k, c = descriptor.modes()
+    got_z = fourier_series(k, c, n)
+    got_dz = fourier_series(k, [1j * ki * ci for ki, ci in zip(k, c)], n)
+    assert np.abs(got_z - z).max() <= 1e-13 * np.abs(z).max()
+    assert np.abs(got_dz - dz).max() <= 1e-13 * np.abs(dz).max()
+
+
+@pytest.mark.parametrize("descriptor,n", [
+    (Starfish(0.0, 0.1, 40), 64),
+    (FourierCurve((0.0, 1.0), min_index=10**30), 64),
+    (Kite(0.0, 0.3), 4),
+])
+def test_sample_rejects_unresolved_modes(descriptor, n):
+    with pytest.raises(ValueError, match="not resolved"):
+        sample(descriptor, n)
+
+
+def test_sample_ignores_zero_modes_beyond_the_grid():
+    curve = sample(Starfish(0.0, 0.0, 40), 64)
+    assert np.allclose(curve.z, np.exp(1j * curve.theta))
 
 
 @pytest.mark.parametrize("doc", [
