@@ -219,28 +219,29 @@ def cmd_forward(config: RunConfig) -> EmtTable:
     return table
 
 
-def cmd_reconstruct(config: RunConfig,
-                    table: EmtTable) -> tuple[ShapeEstimate, np.ndarray, BoundaryCurve]:
-    """Invert a table; write estimate JSON, boundary CSV, and SVG overlay.
+def cmd_reconstruct(config: RunConfig, table: EmtTable,
+                    truth: BoundaryCurve) -> tuple[ShapeEstimate, np.ndarray]:
+    """Invert a table; write estimate JSON, boundary CSV, and SVG overlay
+    against the true boundary ``truth``, sampled at THETA_SAMPLES parameters.
 
-    Returns the estimate, the recovered boundary samples and the true
-    boundary, both at THETA_SAMPLES parameters.
+    Returns the estimate and the recovered boundary samples.
     """
     order = min(config.order, table.order)
     estimate = reconstruct(table, config.materials, order)
     samples = reconstruct_curve(estimate, THETA_SAMPLES)
-    truth = _sample_shape(config.shape, THETA_SAMPLES)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     _write_json(config.output_dir / "shape_estimate.json", shape_estimate_to_json(estimate))
     _write_boundary_csv(config.output_dir / "boundary.csv", samples)
     _write_overlay_svg(config.output_dir / "overlay.svg", truth.z, samples)
-    return estimate, samples, truth
+    return estimate, samples
 
 
 def cmd_roundtrip(config: RunConfig) -> dict:
     """forward -> optional noise -> reconstruct -> error report."""
+    # a shape the comparison grid cannot resolve fails before any file is written
+    truth = _sample_shape(config.shape, THETA_SAMPLES)
     table = cmd_forward(config)
-    estimate, samples, truth = cmd_reconstruct(config, table)
+    estimate, samples = cmd_reconstruct(config, table, truth)
     err = shape_error(samples, truth, center=estimate.disk.a0)
     report = {
         "shape": descriptor_to_json(config.shape),
@@ -332,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"malformed JSON in {args.table}: {exc}") from exc
             except ValueError as exc:
                 raise ConfigError(f"invalid table {args.table}: {exc}") from exc
-            cmd_reconstruct(config, table)
+            cmd_reconstruct(config, table, _sample_shape(config.shape, THETA_SAMPLES))
         else:
             cmd_roundtrip(config)
         return 0

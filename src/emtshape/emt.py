@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import BoundaryCurve, json_number
 from .materials import MaterialPair
-from .transmission import BackgroundField, solve_densities
+from .transmission import evaluate_background, solve_densities
 
 __all__ = [
     "EmtTable",
@@ -88,10 +88,9 @@ def emt_table(curve: BoundaryCurve, mat: MaterialPair, order: int) -> EmtTable:
     if order < 1:
         raise ValueError("order must be a positive integer")
     # rows (n, t) and columns (m, s) flattened as 2(n-1) + (t-1)
-    fields = [BackgroundField.from_pair(mat, t, n) for n in range(1, order + 1) for t in (1, 2)]
-    phi = np.stack([pair.phi for pair in solve_densities(curve, mat, fields)])
-    tests = np.stack([f.values(curve.z) for f in fields])
-    values = ((np.conj(phi) * curve.weight) @ tests.T).real
+    h, traction = evaluate_background(curve, mat.background.mu, order)
+    _, phi = solve_densities(curve, mat, h, traction)
+    values = ((np.conj(phi) * curve.weight) @ h.T).real
     return EmtTable(order, values.reshape(order, 2, order, 2).transpose(0, 2, 1, 3))
 
 

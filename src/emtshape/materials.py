@@ -8,7 +8,7 @@ so they are computed eagerly at construction and cached on the pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "LameConstants",
@@ -51,22 +51,21 @@ class DerivedConstants:
     """Scalars derived from a background/inclusion pair.
 
     alpha, beta (and the inclusion analogues alpha_tilde, beta_tilde) weight
-    the two kernels of the fundamental solution; kappa = (lam+3mu)/(lam+mu)
-    enters the complex representation of displacement fields.  m0, m1, m2 are
-    the contrast combinations the disk formulas and the inversion consume:
+    the two kernels of the fundamental solution.  m0, m1, m2 are the contrast
+    combinations the disk formulas and the inversion consume:
 
         m0 = 2(mu~ - mu) / (mu~ alpha + mu beta)
         m1 = 1 / (mu~ alpha + mu beta)
         m2 = beta (mu - mu~) / (mu~ alpha + mu beta)
 
-    Identities: kappa * beta == alpha, m1 > 0, sign(m0) == sign(mu~ - mu).
+    Identities: alpha (lam+mu) == beta (lam+3mu), m1 > 0,
+    sign(m0) == sign(mu~ - mu).
     """
 
     alpha: float
     beta: float
     alpha_tilde: float
     beta_tilde: float
-    kappa: float
     m0: float
     m1: float
     m2: float
@@ -87,6 +86,7 @@ class MaterialPair:
 
     background: LameConstants
     inclusion: LameConstants
+    constants: DerivedConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bg, inc = self.background, self.inclusion
@@ -99,9 +99,6 @@ class MaterialPair:
             )
         object.__setattr__(self, "constants", derive_constants(self))
 
-    # populated in __post_init__; declared for introspection
-    constants: DerivedConstants = None  # type: ignore[assignment]
-
 
 def derive_constants(mat: MaterialPair) -> DerivedConstants:
     """Compute all derived scalar constants for a material pair.
@@ -110,20 +107,17 @@ def derive_constants(mat: MaterialPair) -> DerivedConstants:
         mat: validated material pair (invariants enforced at construction).
 
     Returns:
-        DerivedConstants with every field populated; kappa*beta == alpha holds
-        to machine precision by construction.
+        DerivedConstants with every field populated.
     """
     bg, inc = mat.background, mat.inclusion
     alpha, beta = _alpha_beta(bg)
     alpha_t, beta_t = _alpha_beta(inc)
-    kappa = (bg.lam + 3.0 * bg.mu) / (bg.lam + bg.mu)
     denom = inc.mu * alpha + bg.mu * beta
     return DerivedConstants(
         alpha=alpha,
         beta=beta,
         alpha_tilde=alpha_t,
         beta_tilde=beta_t,
-        kappa=kappa,
         m0=2.0 * (inc.mu - bg.mu) / denom,
         m1=1.0 / denom,
         m2=beta * (bg.mu - inc.mu) / denom,

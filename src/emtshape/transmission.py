@@ -27,8 +27,6 @@ from .geometry import BoundaryCurve
 from .materials import MaterialPair
 
 __all__ = [
-    "BackgroundField",
-    "DensityPair",
     "SolverError",
     "evaluate_background",
     "solve_densities",
@@ -41,77 +39,24 @@ class SolverError(RuntimeError):
     """Raised when the discretized transmission system cannot be solved."""
 
 
-@dataclass(frozen=True)
-class BackgroundField:
-    """Polynomial background displacement of family t in {1,2,3,4}, degree n.
+def evaluate_background(curve: BoundaryCurve, mu: float, order: int,
+                        center: complex = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal values and traction densities of the background fields
+    h_n^(t) = conj(q_t w^n), q_1 = 1, q_2 = i, w = z - center, n <= order.
 
-    Values at z (with w = z - center):
-        t=1: conj(w^n)        t=2: conj(i w^n)
-        t=3: kappa w^n - z conj(n w^{n-1})
-        t=4: kappa i w^n - z conj(i n w^{n-1})
-    kappa and mu belong to the background material (mu scales tractions).
+    Both arrays have shape (2 order, N); row 2(n-1) + (t-1) holds h_n^(t).
+    The traction (conormal derivative per unit arc length, mu the background
+    shear modulus) comes from the complex representation: with potentials
+    (f, g) of h, traction * dsigma = -2 i mu d/dtheta [f + z conj(f') + conj(g)],
+    here 2 i mu conj(q_t n w^(n-1) dz) dtheta.
     """
-
-    t: int
-    n: int
-    center: complex
-    kappa: float
-    mu: float
-
-    def __post_init__(self) -> None:
-        if self.t not in (1, 2, 3, 4):
-            raise ValueError(f"family index must be 1..4, got {self.t}")
-        if self.n < 1:
-            raise ValueError(f"degree must be >= 1, got {self.n}")
-
-    @classmethod
-    def from_pair(cls, mat: MaterialPair, t: int, n: int,
-                  center: complex = 0.0) -> "BackgroundField":
-        return cls(t=t, n=n, center=complex(center),
-                   kappa=mat.constants.kappa, mu=mat.background.mu)
-
-    def values(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        w = z - self.center
-        nn = self.n
-        if self.t in (1, 2):
-            q = 1.0 if self.t == 1 else 1.0j
-            return np.conj(q * w**nn)
-        p = 1.0 if self.t == 3 else 1.0j
-        return self.kappa * p * w**nn - z * np.conj(nn * p * w ** (nn - 1))
-
-
-@dataclass(frozen=True)
-class DensityPair:
-    """Nodal transmission densities: phi (exterior), psi (interior)."""
-
-    curve: BoundaryCurve
-    phi: np.ndarray
-    psi: np.ndarray
-
-
-def evaluate_background(field: BackgroundField, curve: BoundaryCurve):
-    """Nodal values H_j and traction density (conormal derivative per unit
-    arc length) of a background field on a curve.
-
-    The traction comes from the complex representation: with potentials (f, g)
-    of H, traction * dsigma = -2 i mu d/dtheta [f + z conj(f') + conj(g)], and
-    the theta-derivative is evaluated from the polynomial form analytically.
-    """
-    z, dz = curve.z, curve.dz
-    w = z - field.center
-    n, mu = field.n, field.mu
-    h = field.values(z)
-    if field.t in (1, 2):
-        q = 1.0 if field.t == 1 else 1.0j
-        dg = -np.conj(q * n * w ** (n - 1) * dz)
-    else:
-        p = 1.0 if field.t == 3 else 1.0j
-        dg = p * n * w ** (n - 1) * dz + dz * np.conj(p * n * w ** (n - 1))
-        if n > 1:
-            dg = dg + z * np.conj(p * n * (n - 1) * w ** (n - 2) * dz)
-    traction = -2.0j * mu * dg / np.abs(dz)
-    return h, traction
+    powers = (curve.z - center) ** np.arange(order + 1)[:, None]
+    q = np.array([1.0, 1.0j])[:, None]
+    n = np.arange(1, order + 1)[:, None, None]
+    h = np.conj(q * powers[1:, None])
+    traction = np.conj(q * n * powers[:-1, None] * curve.dz)
+    traction *= 2.0j * mu / np.abs(curve.dz)
+    return h.reshape(2 * order, -1), traction.reshape(2 * order, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,63 +256,56 @@ def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:
     return a
 
 
-def _rhs_column(curve: BoundaryCurve, trace: np.ndarray, traction: np.ndarray) -> np.ndarray:
-    n = curve.n
+def _rhs(curve: BoundaryCurve, h: np.ndarray, traction: np.ndarray) -> np.ndarray:
+    """The 4N equation rows of the right-hand side, one column per field."""
     v = 0.5j * np.abs(curve.dz) * traction  # = mu * dG_H/dtheta
-    b = np.zeros(4 * n + 3)
-    b[:n] = trace.real
-    b[n : 2 * n] = trace.imag
-    b[2 * n : 3 * n] = v.real
-    b[3 * n : 4 * n] = v.imag
-    return b
+    return np.concatenate([h.real, h.imag, v.real, v.imag], axis=1).T
 
 
-def solve_densities(curve: BoundaryCurve, mat: MaterialPair,
-                    fields: list[BackgroundField]) -> list[DensityPair]:
-    """Solve the transmission system for several background fields at once;
-    the matrix is assembled and factorized a single time."""
+def solve_densities(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
+                    traction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the transmission system for the fields whose values h and
+    tractions stack on axis 0, shape (fields, N); the matrix is assembled
+    and factorized a single time.  Returns the densities (psi, phi), each of
+    shape (fields, N)."""
     n = curve.n
     a = _assemble(curve, mat)
-    b = np.stack([_rhs_column(curve, *evaluate_background(f, curve)) for f in fields],
-                 axis=1)
+    b = np.zeros((4 * n + 3, len(h)))
+    b[: 4 * n] = _rhs(curve, h, traction)
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         cond = np.linalg.cond(a)
         raise SolverError(f"transmission system singular (cond ~ {cond:.3e})") from exc
-    out = []
-    for j in range(len(fields)):
-        col = x[:, j]
-        psi = col[:n] + 1j * col[n : 2 * n]
-        phi = col[2 * n : 3 * n] + 1j * col[3 * n : 4 * n]
-        out.append(DensityPair(curve=curve, phi=phi, psi=psi))
-    return out
+    psi = x[:n] + 1j * x[n : 2 * n]
+    phi = x[2 * n : 3 * n] + 1j * x[3 * n : 4 * n]
+    return psi.T, phi.T
 
 
-def rigid_motion_residuals(pair: DensityPair) -> np.ndarray:
-    """The three discrete rigid-motion pairings of phi (all ~ 0 after a solve)."""
-    w, z, phi = pair.curve.weight, pair.curve.z, pair.phi
-    return np.array([
-        float(np.sum(w * phi.real)),
-        float(np.sum(w * phi.imag)),
-        float(np.sum(w * np.real(1j * np.conj(z) * phi))),
-    ])
+def rigid_motion_residuals(curve: BoundaryCurve, phi: np.ndarray) -> np.ndarray:
+    """The three discrete rigid-motion pairings of each row of phi, shape
+    (fields, 3) (all ~ 0 after a solve)."""
+    w = curve.weight
+    return np.stack([phi.real @ w, phi.imag @ w,
+                     np.real(1j * np.conj(curve.z) * phi) @ w], axis=-1)
 
 
-def residual_norms(curve: BoundaryCurve, mat: MaterialPair, field: BackgroundField,
-                   pair: DensityPair) -> tuple[float, float]:
-    """Relative weighted-l2 residuals of the two discretized equations."""
+def residual_norms(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
+                   traction: np.ndarray, psi: np.ndarray,
+                   phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relative weighted-l2 residuals of the two discretized equations, one
+    entry per field on axis 0 of the arrays."""
     n = curve.n
-    x = np.concatenate([pair.psi.real, pair.psi.imag, pair.phi.real, pair.phi.imag])
-    b = _rhs_column(curve, *evaluate_background(field, curve))[: 4 * n]
+    x = np.concatenate([psi.real, psi.imag, phi.real, phi.imag], axis=1).T
+    b = _rhs(curve, h, traction)
     # a density pair carries no rigid-motion slacks: their columns drop out
     r = _assemble(curve, mat)[: 4 * n, : 4 * n] @ x - b
     w2 = np.tile(curve.weight, 2)  # rows hold Re then Im of each equation
 
     def wnorm(v):
-        return math.sqrt(float(w2 @ v**2))
+        return np.sqrt(w2 @ v**2)
 
     eps = np.finfo(float).tiny
-    trace, traction = slice(0, 2 * n), slice(2 * n, 4 * n)
-    return (wnorm(r[trace]) / max(wnorm(b[trace]), eps),
-            wnorm(r[traction]) / max(wnorm(b[traction]), eps))
+    trace, traction_rows = slice(0, 2 * n), slice(2 * n, 4 * n)
+    return (wnorm(r[trace]) / np.maximum(wnorm(b[trace]), eps),
+            wnorm(r[traction_rows]) / np.maximum(wnorm(b[traction_rows]), eps))

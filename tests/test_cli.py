@@ -183,6 +183,13 @@ def test_invalid_config_exits_2(tmp_path, break_config):
     }, 2, id="reconstruct-unsampleable-shape"),
     # far beyond any address space, so the allocation fails at once
     pytest.param("roundtrip", {"nodes": 10**16}, 2, id="roundtrip-unallocatable-nodes"),
+    # mode 256 is resolved by the 514 solver nodes but not by the 512
+    # comparison samples, so the run must fail before the forward table is written
+    pytest.param("roundtrip", {
+        "order": 2, "nodes": 514,
+        "shape": {"kind": "starfish", "center": [0.0, 0.0],
+                  "modeAmplitude": 0.0005, "modeIndex": 255},
+    }, 2, id="roundtrip-unresolved-truth"),
 ])
 def test_config_contract(tmp_path, command, overrides, code):
     write_config(tmp_path / "config.json", **overrides)
@@ -191,6 +198,8 @@ def test_config_contract(tmp_path, command, overrides, code):
     result = run_cli(command, *args, cwd=tmp_path)
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
+    if code:
+        assert not (tmp_path / "out").exists()
 
 
 def test_seed_without_variance_exits_2(tmp_path):

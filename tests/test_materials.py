@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,6 @@ def test_background_constants_exact():
     k = SOFT.constants
     assert k.alpha == pytest.approx(85.0 / 156.0, rel=1e-15)
     assert k.beta == pytest.approx(15.0 / 52.0, rel=1e-15)
-    assert k.kappa == pytest.approx(17.0 / 9.0, rel=1e-15)
 
 
 def test_contrast_constants_exact():
@@ -42,10 +43,12 @@ def test_contrast_constants_exact():
 
 @pytest.mark.parametrize("mat", random_pairs(6))
 def test_derived_identities(mat):
-    for k, single in ((mat.constants, mat.background),
-                      (derive_constants(mat), mat.background)):
-        assert k.kappa * k.beta == pytest.approx(k.alpha, rel=1e-14)
-        assert k.alpha + k.beta == pytest.approx(1.0 / single.mu, rel=1e-14)
+    bg = mat.background
+    for k in (mat.constants, derive_constants(mat)):
+        # alpha / beta = (lam + 3 mu) / (lam + mu)
+        assert k.alpha * (bg.lam + bg.mu) == pytest.approx(
+            k.beta * (bg.lam + 3.0 * bg.mu), rel=1e-14)
+        assert k.alpha + k.beta == pytest.approx(1.0 / bg.mu, rel=1e-14)
     k = mat.constants
     assert k.m1 > 0.0
     assert np.sign(k.m0) == np.sign(mat.inclusion.mu - mat.background.mu)
@@ -66,6 +69,15 @@ def test_shear_matched_flag():
 def test_lame_validation(lam, mu):
     with pytest.raises(ValueError):
         LameConstants(lam, mu)
+
+
+def test_constants_are_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        MaterialPair(BG, LameConstants(0.6, 0.4), "junk")
+    assert [f.name for f in dataclasses.fields(MaterialPair) if f.init] == [
+        "background", "inclusion"]
+    assert SOFT == MaterialPair(BG, LameConstants(0.6, 0.4))
+    assert "constants" not in repr(SOFT)
 
 
 def test_pair_validation():
