@@ -14,12 +14,13 @@ A run is configured by a single JSON document
       "outputDir": "out"
     }
 
-with ``nodes`` and ``noise`` optional and no other keys; ``order`` must stay
-below ``nodes``/2, the highest mode the quadrature resolves.  The flags
-``--order``, ``--nodes``, ``--noise-var``, ``--seed`` and ``--out`` override
-the corresponding fields.  The recovered and the true boundary are compared
-at THETA_SAMPLES parameters.  Exit codes: 0 success, 1 numerical failure,
-2 configuration error.  Outputs carry no timestamps, so identical
+with ``nodes`` (default NODES) and ``noise`` optional and no other keys;
+``order`` must stay below ``nodes``/2, the highest mode the quadrature
+resolves.  The flags ``--order``, ``--nodes``, ``--noise-var``, ``--seed``
+and ``--out`` override the corresponding fields.  The recovered and the true
+boundary are compared at THETA_SAMPLES parameters.  Exit codes: 0 success,
+1 numerical failure, 2 configuration error (an output directory that cannot
+be created is one).  Outputs carry no timestamps, so identical
 configurations produce byte-identical files.
 """
 
@@ -68,6 +69,7 @@ __all__ = [
 
 
 THETA_SAMPLES = 512
+NODES = 256
 _CONFIG_KEYS = {"materials", "shape", "order", "nodes", "noise", "outputDir"}
 
 
@@ -81,7 +83,7 @@ class RunConfig:
     shape: CurveDescriptor
     order: int
     output_dir: Path
-    nodes: int = 256
+    nodes: int = NODES
     noise: NoiseModel | None = None
 
     def __post_init__(self) -> None:
@@ -155,7 +157,7 @@ def load_config(path: str | Path, *, order: int | None = None,
             order=order if order is not None else cfg_order,
             output_dir=Path(out if out is not None else cfg_out),
             nodes=(nodes if nodes is not None
-                   else json_number(raw.get("nodes", 256), integer=True)),
+                   else json_number(raw.get("nodes", NODES), integer=True)),
             noise=noise,
         )
     except (TypeError, ValueError) as exc:
@@ -167,6 +169,15 @@ def _sample_shape(shape: CurveDescriptor, n: int) -> BoundaryCurve:
         return sample(shape, n)
     except ValueError as exc:
         raise ConfigError(f"shape cannot be sampled: {exc}") from exc
+
+
+def _output_dir(config: RunConfig) -> Path:
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {config.output_dir}: "
+                          f"{exc}") from exc
+    return config.output_dir
 
 
 def _write_json(path: Path, document: dict) -> None:
@@ -214,8 +225,7 @@ def cmd_forward(config: RunConfig) -> EmtTable:
     table = emt_table(curve, config.materials, config.order)
     if config.noise is not None:
         table = apply_noise(table, config.noise)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(config.output_dir / "emt_table.json", table_to_json(table))
+    _write_json(_output_dir(config) / "emt_table.json", table_to_json(table))
     return table
 
 
@@ -229,10 +239,10 @@ def cmd_reconstruct(config: RunConfig, table: EmtTable,
     order = min(config.order, table.order)
     estimate = reconstruct(table, config.materials, order)
     samples = reconstruct_curve(estimate, THETA_SAMPLES)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(config.output_dir / "shape_estimate.json", shape_estimate_to_json(estimate))
-    _write_boundary_csv(config.output_dir / "boundary.csv", samples)
-    _write_overlay_svg(config.output_dir / "overlay.svg", truth.z, samples)
+    out = _output_dir(config)
+    _write_json(out / "shape_estimate.json", shape_estimate_to_json(estimate))
+    _write_boundary_csv(out / "boundary.csv", samples)
+    _write_overlay_svg(out / "overlay.svg", truth.z, samples)
     return estimate, samples
 
 

@@ -1,8 +1,8 @@
 """Closed-form transmission solutions for a circular inclusion.
 
 On a disk the density basis phi_k(theta) = gamma^{-1} e^{i k theta}
-diagonalizes the transmission system, so the densities and every contracted
-moment are available in closed form.  These formulas are the reference values
+diagonalizes the transmission system, so every contracted moment is
+available in closed form.  These formulas are the reference values
 for the Nystrom solver and the anchor of the inversion.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 from .materials import MaterialPair
 
 __all__ = [
-    "disk_density_coefficients",
     "disk_modified_emt",
     "disk_emt_general",
     "disk_emt_table",
@@ -23,31 +22,12 @@ __all__ = [
 ]
 
 
-def disk_density_coefficients(mat: MaterialPair, gamma: float, n: int, q: complex = 1.0):
-    """Density coefficients (c_{-n}, d_{-n}) for background trace conj(q (z-a0)^n).
-
-    The exterior density is c_{-n} phi_{-n} and the interior one d_{-n} phi_{-n}:
-
-        c_{-n} = conj(q) n gamma^n M0,
-        d_{-n} = -2 conj(q) n gamma^n M1 / alpha~.
-
-    q may be any complex coefficient (the pair is antilinear in q).
-    """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    k = mat.constants
-    scale = np.conj(q) * n * gamma**n
-    return scale * k.m0, -2.0 * scale * k.m1 / k.alpha_tilde
-
-
-def disk_modified_emt(mat: MaterialPair, gamma: float, n: int, m: int,
-                      t: int, s: int) -> float:
-    """Moment of a centered disk in the disk-centered basis: diagonal
-    2 pi M0 n delta_nm gamma^{n+m} for (t,s) in {(1,1),(2,2)}, zero cross."""
-    _check_ts(t, s)
-    if t != s or n != m:
-        return 0.0
-    return 2.0 * math.pi * mat.constants.m0 * n * gamma ** (n + m)
+def disk_modified_emt(mat: MaterialPair, gamma: float, order: int) -> np.ndarray:
+    """Diagonal of the centered disk's table, 2 pi M0 n gamma^{2n} for
+    n = 1..order: in the disk-centered fields E^{(t,s)}_{nm} is this value
+    when n = m and t = s, and zero otherwise."""
+    n = np.arange(1, order + 1)
+    return 2.0 * math.pi * mat.constants.m0 * n * gamma ** (2 * n)
 
 
 def disk_emt_general(mat: MaterialPair, gamma: float, a0: complex, n: int, m: int,
@@ -63,7 +43,8 @@ def disk_emt_general(mat: MaterialPair, gamma: float, a0: complex, n: int, m: in
     Symmetric under (n,t) <-> (m,s) exchange; reduces to disk_modified_emt at
     a0 = 0.  E.g. E^{(1,1)}_{12} = 2 pi gamma^2 M0 (a0 + conj(a0)).
     """
-    _check_ts(t, s)
+    if t not in (1, 2) or s not in (1, 2):
+        raise ValueError(f"closed forms cover t, s in {{1, 2}}, got t={t}, s={s}")
     if min(n, m) < 1:
         raise ValueError(f"degrees must be >= 1, got n={n}, m={m}")
     return float(disk_emt_table(mat, gamma, a0, max(n, m))[n - 1, m - 1, t - 1, s - 1])
@@ -78,8 +59,7 @@ def disk_emt_table(mat: MaterialPair, gamma: float, a0: complex, order: int) -> 
     table is R(-a0) D R(-a0)^T.
     """
     r = recentering_matrix(order, -complex(a0))
-    diag = np.repeat([disk_modified_emt(mat, gamma, k, k, 1, 1)
-                      for k in range(1, order + 1)], 2)
+    diag = np.repeat(disk_modified_emt(mat, gamma, order), 2)
     return (r @ (diag[:, None] * r.T)).reshape(order, 2, order, 2).transpose(0, 2, 1, 3)
 
 
@@ -105,7 +85,3 @@ def recentering_matrix(order: int, a0: complex) -> np.ndarray:
                   np.stack([-u.imag, u.real], -1)], 1)
     return r.reshape(2 * order, 2 * order)
 
-
-def _check_ts(t: int, s: int) -> None:
-    if t not in (1, 2) or s not in (1, 2):
-        raise ValueError(f"closed forms cover t, s in {{1, 2}}, got t={t}, s={s}")

@@ -70,13 +70,6 @@ class EmtTable:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def entry(self, n: int, m: int, t: int, s: int) -> float:
-        if not (1 <= n <= self.order and 1 <= m <= self.order):
-            raise ValueError(f"orders (n, m) = {(n, m)} outside 1..{self.order}")
-        if t not in (1, 2) or s not in (1, 2):
-            raise ValueError("field types t, s must lie in {1, 2}")
-        return float(self.values[n - 1, m - 1, t - 1, s - 1])
-
 
 def emt_table(curve: BoundaryCurve, mat: MaterialPair, order: int) -> EmtTable:
     """All entries with n, m <= order and t, s in {1, 2}.

@@ -28,7 +28,6 @@ __all__ = [
     "BoundaryCurve",
     "fourier_series",
     "sample",
-    "winding_number",
     "descriptor_to_json",
     "descriptor_from_json",
     "json_number",
@@ -144,30 +143,15 @@ CurveDescriptor = Union[Disk, Ellipse, Kite, Starfish, PerturbedDisk, FourierCur
 class BoundaryCurve:
     """Quadrature-sampled closed curve.
 
-    theta_j = 2 pi j / N; z, dz are nodal positions and exact derivatives
-    (counterclockwise), and weight_j = (2 pi / N) |dz_j| are arc-length
-    trapezoidal weights.
+    z, dz are positions and exact derivatives (counterclockwise) at the n
+    nodes theta_j = 2 pi j / n, and weight_j = (2 pi / n) |dz_j| are
+    arc-length trapezoidal weights.
     """
 
-    descriptor: CurveDescriptor
     n: int
-    theta: np.ndarray
     z: np.ndarray
     dz: np.ndarray
     weight: np.ndarray
-
-    @property
-    def perimeter(self) -> float:
-        return float(self.weight.sum())
-
-
-def winding_number(w) -> np.ndarray:
-    """Winding number about 0 of the closed polygon with vertices w, reduced
-    along the last axis (a stack of polygons gives an array of integers)."""
-    ang = np.angle(w)
-    inc = np.diff(ang, axis=-1, append=ang[..., :1])
-    inc = (inc + math.pi) % (2.0 * math.pi) - math.pi
-    return np.rint(inc.sum(axis=-1) / (2.0 * math.pi)).astype(int)
 
 
 def fourier_series(k, c, n: int) -> np.ndarray:
@@ -198,7 +182,6 @@ def sample(descriptor: CurveDescriptor, n: int = 256) -> BoundaryCurve:
     if unresolved:
         raise ValueError(f"mode {max(unresolved, key=abs)} is not resolved by "
                          f"{n} nodes (needs 2|k| < n)")
-    theta = 2.0 * math.pi * np.arange(n) / n
     with np.errstate(over="ignore", invalid="ignore"):
         z = fourier_series(k, c, n)
         dz = fourier_series(k, [1j * ki * ci for ki, ci in zip(k, c)], n)
@@ -217,11 +200,12 @@ def sample(descriptor: CurveDescriptor, n: int = 256) -> BoundaryCurve:
         dz = -dz[idx]
     # Hopf Umlaufsatz: a simple regular closed curve has tangent winding +-1;
     # anything else indicates a self-intersecting or degenerate descriptor.
-    if winding_number(dz) != 1:
+    # The winding of the polygon dz about 0 sums the angles dz turns by.
+    if round(np.angle(np.roll(dz, -1) / dz).sum() / (2.0 * math.pi)) != 1:
         raise ValueError("curve is not simple (tangent winding != 1)")
 
     weight = (2.0 * math.pi / n) * np.abs(dz)
-    return BoundaryCurve(descriptor=descriptor, n=n, theta=theta, z=z, dz=dz, weight=weight)
+    return BoundaryCurve(n=n, z=z, dz=dz, weight=weight)
 
 
 def _c(value: complex) -> list[float]:

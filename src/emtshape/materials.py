@@ -14,7 +14,6 @@ __all__ = [
     "LameConstants",
     "DerivedConstants",
     "MaterialPair",
-    "derive_constants",
 ]
 
 
@@ -97,28 +96,15 @@ class MaterialPair:
                 "need (lam - lam~)(mu - mu~) >= 0, got "
                 f"({bg.lam - inc.lam})*({bg.mu - inc.mu}) < 0"
             )
-        object.__setattr__(self, "constants", derive_constants(self))
-
-
-def derive_constants(mat: MaterialPair) -> DerivedConstants:
-    """Compute all derived scalar constants for a material pair.
-
-    Args:
-        mat: validated material pair (invariants enforced at construction).
-
-    Returns:
-        DerivedConstants with every field populated.
-    """
-    bg, inc = mat.background, mat.inclusion
-    alpha, beta = _alpha_beta(bg)
-    alpha_t, beta_t = _alpha_beta(inc)
-    denom = inc.mu * alpha + bg.mu * beta
-    return DerivedConstants(
-        alpha=alpha,
-        beta=beta,
-        alpha_tilde=alpha_t,
-        beta_tilde=beta_t,
-        m0=2.0 * (inc.mu - bg.mu) / denom,
-        m1=1.0 / denom,
-        m2=beta * (bg.mu - inc.mu) / denom,
-    )
+        alpha, beta = _alpha_beta(bg)
+        alpha_t, beta_t = _alpha_beta(inc)
+        denom = inc.mu * alpha + bg.mu * beta
+        object.__setattr__(self, "constants", DerivedConstants(
+            alpha=alpha,
+            beta=beta,
+            alpha_tilde=alpha_t,
+            beta_tilde=beta_t,
+            m0=2.0 * (inc.mu - bg.mu) / denom,
+            m1=1.0 / denom,
+            m2=beta * (bg.mu - inc.mu) / denom,
+        ))

@@ -36,8 +36,8 @@ __all__ = [
 
 class InversionError(RuntimeError):
     """Raised when the EMT data admit no disk fit (wrong-signed leading entry,
-    matched shear moduli, or a table too small for Step 1), or when the
-    inversion overflows or is not finite."""
+    matched shear moduli, a table too small for Step 1, or a radius that
+    overflows), or when the inversion overflows or is not finite."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def estimate_disk(table: EmtTable, mat: MaterialPair) -> DiskEstimate:
             "matched shear moduli (mu = mu~) make the leading EMT vanish; "
             "the disk radius is not identifiable from this data"
         )
-    ratio = table.entry(1, 1, 1, 1) / (2.0 * math.pi * m0)
+    ratio = float(table.values[0, 0, 0, 0]) / (2.0 * math.pi * m0)
     if ratio <= 0.0:
         raise InversionError(
             f"E^(1,1)_11 / M0 = {2.0 * math.pi * ratio:.6g} is not positive: "
@@ -88,7 +88,9 @@ def estimate_disk(table: EmtTable, mat: MaterialPair) -> DiskEstimate:
             "(noise-corrupted table?)"
         )
     gamma = math.sqrt(ratio)
-    a0 = (table.entry(1, 2, 1, 1) - 1j * table.entry(1, 2, 1, 2)) / (
+    if not math.isfinite(gamma):
+        raise InversionError(f"the disk radius overflows for M0 = {m0:.6g}")
+    a0 = (float(table.values[0, 1, 0, 0]) - 1j * float(table.values[0, 1, 0, 1])) / (
         4.0 * math.pi * gamma**2 * m0
     )
     return DiskEstimate(a0, gamma)
@@ -115,10 +117,9 @@ def deltas(modified: np.ndarray, gamma: float, mat: MaterialPair) -> np.ndarray:
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     order = modified.shape[0]
-    disk = [disk_modified_emt(mat, gamma, n, n, 1, 1) for n in range(1, order + 1)]
     out = np.array(modified, dtype=float)
     diag = np.arange(order)
-    out[diag, diag] -= np.multiply.outer(disk, np.eye(2))
+    out[diag, diag] -= np.multiply.outer(disk_modified_emt(mat, gamma, order), np.eye(2))
     return out
 
 
@@ -182,14 +183,15 @@ def reconstruct(table: EmtTable, mat: MaterialPair,
         raise ValueError(f"order must lie in 1..{table.order}")
     sub = EmtTable(order, table.values[:order, :order], table.provenance)
     disk = estimate_disk(sub, mat)
-    modified = modified_emts(sub, disk.a0)
-    try:
-        gaps = deltas(modified, disk.gamma, mat)
-    except OverflowError as exc:
-        raise InversionError(f"disk moments overflow at gamma = {disk.gamma:.6g}") from exc
-    coeffs, diagnostics = fourier_coefficients(gaps, disk.gamma, mat)
-    if not (np.isfinite(disk.a0) and np.isfinite(coeffs).all()):
-        raise InversionError("the inversion of this table is not finite "
+    # overflow shows up as inf or nan, which the one check below catches
+    with np.errstate(all="ignore"):
+        gaps = deltas(modified_emts(sub, disk.a0), disk.gamma, mat)
+        coeffs, diagnostics = fourier_coefficients(gaps, disk.gamma, mat)
+    # a second-channel value is finite when its gap to a finite coefficient is
+    second = [row["firstChannelGap"] for row in diagnostics["secondChannel"]]
+    numbers = (disk.a0, diagnostics["h0Imag"], gaps, coeffs, second)
+    if not all(np.isfinite(x).all() for x in numbers):
+        raise InversionError("the inversion of this table overflows or is not finite "
                              f"(a0 = {disk.a0:.6g}, gamma = {disk.gamma:.6g})")
     return ShapeEstimate(disk, coeffs, diagnostics)
 

@@ -238,15 +238,41 @@ def far_centered_table():
                      else float(values[n - 1, m - 1, t - 1, s - 1]))
 
 
-@pytest.mark.parametrize("make_table", [overflowing_table, far_centered_table])
-def test_non_finite_inversion_exits_1(tmp_path, make_table):
-    write_config(tmp_path / "config.json", order=6)
+def overflowing_gamma_table():
+    # M0 ~ 1e-16 for the near-matched pair, so E^(1,1)_11 / M0 and gamma are infinite
+    return table_doc(2, lambda n, m, t, s: 1e300 if (n, m, t, s) == (1, 1, 1, 1) else 0.0)
+
+
+NEAR_MATCHED = {"background": {"lambda": 1.5, "mu": 1.2},
+                "inclusion": {"lambda": 1.5, "mu": 1.2000000000000002}}
+
+
+@pytest.mark.parametrize("make_table,materials", [
+    pytest.param(overflowing_table, BASE_CONFIG["materials"], id="overflowing_table"),
+    pytest.param(far_centered_table, BASE_CONFIG["materials"], id="far_centered_table"),
+    pytest.param(overflowing_gamma_table, NEAR_MATCHED, id="overflowing_gamma_table"),
+])
+def test_non_finite_inversion_exits_1(tmp_path, make_table, materials):
+    write_config(tmp_path / "config.json", order=6, materials=materials)
     (tmp_path / "table.json").write_text(json.dumps(make_table()))
     result = run_cli("reconstruct", "config.json", "table.json", cwd=tmp_path)
     assert result.returncode == 1, result.stderr
     assert "numerical failure" in result.stderr
     assert "Traceback" not in result.stderr
+    assert "Warning" not in result.stderr
     assert not (tmp_path / "out" / "shape_estimate.json").exists()
+
+
+@pytest.mark.parametrize("command,out", [("forward", "afile"), ("roundtrip", "afile/sub")])
+def test_uncreatable_output_dir_exits_2(tmp_path, command, out):
+    write_config(tmp_path / "config.json")
+    (tmp_path / "afile").touch()
+    result = run_cli(command, "config.json", "--out", out, cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert f"configuration error: cannot create output directory {out}" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert (tmp_path / "afile").is_file()
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_table_schema_exits_2(tmp_path):

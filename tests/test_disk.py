@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from emtshape.disk import (
-    disk_density_coefficients,
     disk_emt_general,
     disk_emt_table,
     disk_modified_emt,
@@ -16,46 +15,28 @@ SOFT = MaterialPair(LameConstants(1.5, 1.2), LameConstants(0.6, 0.4))
 STIFF = MaterialPair(LameConstants(1.5, 1.2), LameConstants(1.8, 1.5))
 
 
-def test_density_coefficients_values():
-    k = SOFT.constants
-    c, d = disk_density_coefficients(SOFT, 1.0, 1)
-    assert c == pytest.approx(k.m0, rel=1e-14)
-    assert d == pytest.approx(-2.0 * k.m1 / k.alpha_tilde, rel=1e-14)
-    c2, _ = disk_density_coefficients(SOFT, 0.7, 3)
-    assert c2 == pytest.approx(3.0 * 0.7**3 * k.m0, rel=1e-14)
-
-
-def test_density_coefficients_antilinear_in_q():
-    q = 0.3 - 1.1j
-    c1, d1 = disk_density_coefficients(STIFF, 1.3, 2, 1.0)
-    cq, dq = disk_density_coefficients(STIFF, 1.3, 2, q)
-    assert cq == pytest.approx(np.conj(q) * c1, rel=1e-14)
-    assert dq == pytest.approx(np.conj(q) * d1, rel=1e-14)
-
-
-def test_density_coefficients_degree_validation():
-    with pytest.raises(ValueError):
-        disk_density_coefficients(SOFT, 1.0, 0)
-
-
 def test_modified_emt_diagonal():
     m0 = SOFT.constants.m0
-    for n in (1, 2, 5):
-        for gamma in (0.7, 1.3):
+    for gamma in (0.7, 1.3):
+        moments = disk_modified_emt(SOFT, gamma, 5)
+        assert moments.shape == (5,)
+        for n in range(1, 6):
             expected = 2.0 * math.pi * m0 * n * gamma ** (2 * n)
-            assert disk_modified_emt(SOFT, gamma, n, n, 1, 1) == pytest.approx(expected, rel=1e-14)
-            assert disk_modified_emt(SOFT, gamma, n, n, 2, 2) == pytest.approx(expected, rel=1e-14)
-    assert disk_modified_emt(SOFT, 1.0, 2, 3, 1, 1) == 0.0
-    assert disk_modified_emt(SOFT, 1.0, 2, 2, 1, 2) == 0.0
+            assert moments[n - 1] == pytest.approx(expected, rel=1e-14)
+        # the centered table is diagonal in (n, m) and in (t, s)
+        expected = np.einsum("nm,ts,n->nmts", np.eye(5), np.eye(2), moments)
+        assert np.array_equal(disk_emt_table(SOFT, gamma, 0.0, 5), expected)
 
 
 def test_general_emt_reduces_to_centered():
+    moments = disk_modified_emt(SOFT, 0.9, 3)
     for n in (1, 2, 3):
         for m in (1, 2, 3):
             for t in (1, 2):
                 for s in (1, 2):
+                    expected = moments[n - 1] if (n, t) == (m, s) else 0.0
                     assert disk_emt_general(SOFT, 0.9, 0.0, n, m, t, s) == pytest.approx(
-                        disk_modified_emt(SOFT, 0.9, n, m, t, s), abs=1e-14
+                        expected, abs=1e-14
                     )
 
 
@@ -107,4 +88,4 @@ def test_general_emt_index_validation():
     with pytest.raises(ValueError):
         disk_emt_general(SOFT, 1.0, 0.0, 1, 1, 3, 1)
     with pytest.raises(ValueError):
-        disk_modified_emt(SOFT, 1.0, 1, 1, 1, 0)
+        disk_emt_general(SOFT, 1.0, 0.0, 1, 1, 1, 0)

@@ -59,13 +59,6 @@ def test_dilation_scaling():
     assert np.max(np.abs(scaled.values - predicted)) < 1e-8 * np.max(np.abs(predicted))
 
 
-def test_entry_index_validation():
-    table = emt_table(sample(Disk(0.0, 1.0), 32), SOFT, 2)
-    for bad in [(0, 1, 1, 1), (1, 3, 1, 1), (1, 1, 0, 1), (1, 1, 1, 3)]:
-        with pytest.raises(ValueError):
-            table.entry(*bad)
-
-
 def test_table_validation():
     with pytest.raises(ValueError):
         EmtTable(2, np.zeros((2, 2, 2, 1)))

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from emtshape.disk import disk_density_coefficients
 from emtshape.geometry import Disk, Kite, sample
 from emtshape.materials import LameConstants, MaterialPair
 from emtshape.transmission import (
@@ -26,6 +25,20 @@ def trace_block(curve, alpha, beta):
     block = np.empty((2 * curve.n, 2 * curve.n))
     _trace_block(block, _curve_operators(curve), alpha, beta)
     return block
+
+
+def nodes(n):
+    return 2.0 * math.pi * np.arange(n) / n
+
+
+def disk_densities(mat, gamma, n, curve, q):
+    """Exact (phi, psi) on the sampled disk for the field conj(q (z - a0)^n):
+    c phi_{-n} and d phi_{-n} with phi_k = e^{i k theta} / gamma,
+    c = conj(q) n gamma^n M0 and d = -2 conj(q) n gamma^n M1 / alpha~."""
+    k = mat.constants
+    scale = np.conj(q) * n * gamma**n
+    mode = np.exp(-1j * n * nodes(curve.n)) / gamma
+    return scale * k.m0 * mode, -2.0 * scale * k.m1 / k.alpha_tilde * mode
 
 
 def apply_block(block, v):
@@ -60,14 +73,15 @@ def test_single_layer_trace_circle_symbol(k):
     # beta corrections -beta/2 at k = 0 and +(beta/2) e^{i theta} at k = 1
     alpha, beta = SOFT.constants.alpha, SOFT.constants.beta
     curve = sample(Disk(0.0, 1.0), 32)
-    out = apply_block(trace_block(curve, alpha, beta), np.exp(1j * k * curve.theta))
+    theta = nodes(32)
+    out = apply_block(trace_block(curve, alpha, beta), np.exp(1j * k * theta))
     expected = np.zeros_like(out)
     if k != 0:
-        expected = -(alpha / (2.0 * abs(k))) * np.exp(1j * k * curve.theta)
+        expected = -(alpha / (2.0 * abs(k))) * np.exp(1j * k * theta)
     else:
         expected = expected - beta / 2.0
     if k == 1:
-        expected = expected + (beta / 2.0) * np.exp(1j * curve.theta)
+        expected = expected + (beta / 2.0) * np.exp(1j * theta)
     assert np.max(np.abs(out - expected)) < 1e-12
 
 
@@ -80,8 +94,9 @@ def test_cauchy_boundary_values_circle(k):
     a_ext = a_re + 1j * a_im
     a_int = a_ext - 1j * np.diag(np.abs(curve.dz))  # the diagonal _traction_block adds
     c_int, c_ext = a_int / curve.dz[:, None], a_ext / curve.dz[:, None]
-    f = np.exp(1j * k * curve.theta)
-    mode = np.exp(1j * (k - 1) * curve.theta)
+    theta = nodes(32)
+    f = np.exp(1j * k * theta)
+    mode = np.exp(1j * (k - 1) * theta)
     want_int = -mode if k >= 1 else 0.0 * mode
     want_ext = mode if k <= 0 else 0.0 * mode
     assert np.max(np.abs(c_int @ f - want_int)) < 1e-12
@@ -134,8 +149,9 @@ def test_background_traction_circle():
     # t = 1, n = 1 on the unit circle: traction = 2 mu e^{-i theta}
     curve = sample(Disk(0.0, 1.0), 16)
     h, traction = evaluate_background(curve, SOFT.background.mu, 1)
-    assert np.allclose(h[0], np.exp(-1j * curve.theta))
-    assert np.allclose(traction[0], 2.0 * SOFT.background.mu * np.exp(-1j * curve.theta))
+    theta = nodes(16)
+    assert np.allclose(h[0], np.exp(-1j * theta))
+    assert np.allclose(traction[0], 2.0 * SOFT.background.mu * np.exp(-1j * theta))
 
 
 def test_background_traction_rigid_rotation_free():
@@ -160,9 +176,7 @@ def test_background_traction_rigid_rotation_free():
 def test_exact_disk_densities_satisfy_equations(mat, n, q):
     center, gamma = -0.3 + 0.5j, 0.9
     curve = sample(Disk(center, gamma), 64)
-    c, d = disk_density_coefficients(mat, gamma, n, q)
-    phi = c / gamma * np.exp(-1j * n * curve.theta)
-    psi = d / gamma * np.exp(-1j * n * curve.theta)
+    phi, psi = disk_densities(mat, gamma, n, curve, q)
     h, traction = evaluate_background(curve, mat.background.mu, n, center)
     j = row(n, 1 if q == 1.0 else 2)
     trace_res, traction_res = residual_norms(curve, mat, h[j : j + 1], traction[j : j + 1],
@@ -180,9 +194,7 @@ def test_solver_matches_disk_closed_form(mat, t, n):
     j = row(n, t)
     psi, phi = solve_densities(curve, mat, h[j : j + 1], traction[j : j + 1])
     q = 1.0 if t == 1 else 1.0j
-    c, d = disk_density_coefficients(mat, gamma, n, q)
-    phi_exact = c / gamma * np.exp(-1j * n * curve.theta)
-    psi_exact = d / gamma * np.exp(-1j * n * curve.theta)
+    phi_exact, psi_exact = disk_densities(mat, gamma, n, curve, q)
     scale = max(np.max(np.abs(phi_exact)), np.max(np.abs(psi_exact)))
     assert np.max(np.abs(phi[0] - phi_exact)) < 1e-8 * scale
     assert np.max(np.abs(psi[0] - psi_exact)) < 1e-8 * scale

@@ -96,9 +96,8 @@ def test_modified_emts_recenters_disk(mat):
     a0, gamma = -0.9 + 1.2j, 0.8
     table = exact_disk_table(mat, gamma, a0, 5)
     modified = modified_emts(table, a0)
-    expected = np.array([[[[disk_modified_emt(mat, gamma, n, m, t, s)
-                            for s in (1, 2)] for t in (1, 2)]
-                          for m in range(1, 6)] for n in range(1, 6)])
+    # the centered disk's table: its moment vector on the (n, n, t, t) diagonal
+    expected = np.einsum("nm,ts,n->nmts", np.eye(5), np.eye(2), disk_modified_emt(mat, gamma, 5))
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(modified - expected)) < 1e-10 * scale
 
@@ -123,7 +122,7 @@ def test_modified_emts_against_naive_expansion():
                             v = q[s - 1] * np.conj(math.comb(m, l) * (-np.conj(a0)) ** (m - l))
                             for a, ca in ((1, u.real), (2, u.imag)):
                                 for b, cb in ((1, v.real), (2, v.imag)):
-                                    acc += ca * cb * table.entry(k, l, a, b)
+                                    acc += ca * cb * table.values[k - 1, l - 1, a - 1, b - 1]
                     assert modified[n - 1, m - 1, t - 1, s - 1] == pytest.approx(
                         acc, rel=1e-12, abs=1e-12)
 
