@@ -20,8 +20,8 @@ resolves.  The flags ``--order``, ``--nodes``, ``--noise-var``, ``--seed``
 and ``--out`` override the corresponding fields.  The recovered and the true
 boundary are compared at THETA_SAMPLES parameters.  Exit codes: 0 success,
 1 numerical failure, 2 configuration error (an output directory that cannot
-be created is one).  Outputs carry no timestamps, so identical
-configurations produce byte-identical files.
+be created or an output file that cannot be written is one).  Outputs carry
+no timestamps, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -171,6 +171,21 @@ def _sample_shape(shape: CurveDescriptor, n: int) -> BoundaryCurve:
         raise ConfigError(f"shape cannot be sampled: {exc}") from exc
 
 
+def _check_output_dir(config: RunConfig) -> None:
+    """Fail before any work when the output directory cannot be made: the
+    nearest existing path on its way up must be a directory.  Creates
+    nothing, so a failed run leaves no output directory behind."""
+    out = config.output_dir
+    try:
+        existing = next((path for path in (out, *out.parents) if path.exists()), None)
+        if existing is None or existing.is_dir():
+            return
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    raise ConfigError(f"cannot create output directory {out}: "
+                      f"{existing} is not a directory")
+
+
 def _output_dir(config: RunConfig) -> Path:
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -180,8 +195,16 @@ def _output_dir(config: RunConfig) -> Path:
     return config.output_dir
 
 
+def _write_text(path: Path, text: str) -> None:
+    """The one writer of every output file."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, document: dict) -> None:
-    path.write_text(json.dumps(document, indent=2) + "\n")
+    _write_text(path, json.dumps(document, indent=2) + "\n")
 
 
 def _write_boundary_csv(path: Path, samples: np.ndarray) -> None:
@@ -190,7 +213,7 @@ def _write_boundary_csv(path: Path, samples: np.ndarray) -> None:
     for j, z in enumerate(samples):
         theta = 2.0 * np.pi * j / count
         lines.append(f"{theta!r},{float(z.real)!r},{float(z.imag)!r}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _svg_path(points: np.ndarray) -> str:
@@ -216,7 +239,7 @@ def _write_overlay_svg(path: Path, truth: np.ndarray, recon: np.ndarray) -> None
         f'stroke="#000000" stroke-width="{stroke:.6f}"/>\n'
         f"</svg>\n"
     )
-    path.write_text(body)
+    _write_text(path, body)
 
 
 def cmd_forward(config: RunConfig) -> EmtTable:
@@ -332,6 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command != "forward" and config.order < 2:
             raise ConfigError("reconstruction needs order >= 2 (the disk fit uses "
                               "the order-2 entries)")
+        _check_output_dir(config)
         if args.command == "forward":
             cmd_forward(config)
         elif args.command == "reconstruct":

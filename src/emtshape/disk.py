@@ -8,6 +8,7 @@ for the Nystrom solver and the anchor of the inversion.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -77,11 +78,24 @@ def recentering_matrix(order: int, a0: complex) -> np.ndarray:
     table E flattened the same way recenters as R(a0) E R(a0)^T, and
     R(a0) R(-a0) = I.
     """
-    deg = np.arange(1, order + 1)
-    comb = np.array([[math.comb(n, k) for k in deg] for n in deg], dtype=float)
-    u = comb * complex(-a0) ** np.maximum(deg[:, None] - deg[None, :], 0)
+    comb, lag = _binomial_table(order)
+    u = comb * (complex(-a0) ** np.arange(order))[lag]
     # t = 2 multiplies u by i: (Re u, Im u) -> (-Im u, Re u)
-    r = np.stack([np.stack([u.real, u.imag], -1),
-                  np.stack([-u.imag, u.real], -1)], 1)
+    r = np.empty((order, 2, order, 2))
+    r[:, 0, :, 0] = u.real
+    r[:, 0, :, 1] = u.imag
+    r[:, 1, :, 0] = -u.imag
+    r[:, 1, :, 1] = u.real
     return r.reshape(2 * order, 2 * order)
 
+
+@functools.cache
+def _binomial_table(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only C(n,k) and lag max(n-k, 0) for n, k = 1..order; they depend
+    on the order alone, so each order builds them once per process."""
+    deg = np.arange(1, order + 1)
+    comb = np.array([[math.comb(n, k) for k in deg] for n in deg], dtype=float)
+    lag = np.maximum(deg[:, None] - deg[None, :], 0)
+    comb.setflags(write=False)
+    lag.setflags(write=False)
+    return comb, lag

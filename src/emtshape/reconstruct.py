@@ -9,6 +9,7 @@ perturbation.  The product eps*h_k is never separated into factors.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -188,9 +189,11 @@ def reconstruct(table: EmtTable, mat: MaterialPair,
         gaps = deltas(modified_emts(sub, disk.a0), disk.gamma, mat)
         coeffs, diagnostics = fourier_coefficients(gaps, disk.gamma, mat)
     # a second-channel value is finite when its gap to a finite coefficient is
-    second = [row["firstChannelGap"] for row in diagnostics["secondChannel"]]
-    numbers = (disk.a0, diagnostics["h0Imag"], gaps, coeffs, second)
-    if not all(np.isfinite(x).all() for x in numbers):
+    finite = (cmath.isfinite(disk.a0) and math.isfinite(diagnostics["h0Imag"])
+              and np.isfinite(gaps).all() and np.isfinite(coeffs).all()
+              and all(math.isfinite(row["firstChannelGap"])
+                      for row in diagnostics["secondChannel"]))
+    if not finite:
         raise InversionError("the inversion of this table overflows or is not finite "
                              f"(a0 = {disk.a0:.6g}, gamma = {disk.gamma:.6g})")
     return ShapeEstimate(disk, coeffs, diagnostics)
@@ -245,28 +248,30 @@ def _hausdorff(p: np.ndarray, ang_p: np.ndarray,
 
     Bound and verify (Taha & Hanbury, IEEE TPAMI 37(11), 2015): a point's
     distance to the nearest of its 7 angular neighbours in the other set
-    bounds its nearest distance from above.  Rows are resolved exactly, 16
-    at a time, in order of decreasing bound until no bound left exceeds the
-    largest exact row minimum, which is then the distance.  Every value
-    compared is an entry of the dense matrix, so the result is bit-identical
-    to the dense max-of-min, and memory stays linear in the set sizes.
+    bounds its nearest distance from above.  Rows are resolved exactly in
+    order of decreasing bound, in batches of 1, 2, 4, 8 and then 16 rows,
+    until no bound left exceeds the largest exact row minimum, which is then
+    the distance.  The bound is mostly exact, so most inputs stop after one
+    or two batches.  Every value compared is an entry of the dense matrix,
+    so the result is bit-identical to the dense max-of-min, and memory stays
+    linear in the set sizes.
     """
-    bounds = []
-    for x, ang_x, y, ang_y in ((p, ang_p, q, ang_q), (q, ang_q, p, ang_p)):
-        near = y.take(np.searchsorted(ang_y, ang_x) + np.arange(-3, 4)[:, None], mode="wrap")
-        bounds.append(np.abs(x - near).min(axis=0))
-    bound = np.concatenate(bounds)  # rows of p, then rows of q
+    offsets = np.arange(-3, 4)[:, None]
+    near = np.concatenate([q.take(np.searchsorted(ang_q, ang_p) + offsets, mode="wrap"),
+                           p.take(np.searchsorted(ang_p, ang_q) + offsets, mode="wrap")],
+                          axis=1)
+    bound = np.abs(np.concatenate([p, q]) - near).min(axis=0)  # rows of p, then rows of q
     if np.isnan(bound).any():
         return math.nan
     visit = np.argsort(bound)[::-1]
-    best = 0.0
-    for start in range(0, visit.size, 16):
-        rows = visit[start:start + 16]
-        if bound[rows[0]] <= best:
-            break
+    best, start, size = 0.0, 0, 1
+    while start < visit.size and bound[visit[start]] > best:
+        rows = visit[start:start + size]
         for x, y, sel in ((p, q, rows[rows < p.size]), (q, p, rows[rows >= p.size] - p.size)):
             if sel.size:
                 best = max(best, float(np.abs(x[sel, None] - y).min(axis=1).max()))
+        start += size
+        size = min(2 * size, 16)
     return best
 
 

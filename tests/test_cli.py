@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from emtshape import cli
 from emtshape.disk import disk_emt_table
 from emtshape.materials import LameConstants, MaterialPair
 
@@ -273,6 +274,35 @@ def test_uncreatable_output_dir_exits_2(tmp_path, command, out):
     assert "Traceback" not in result.stderr
     assert (tmp_path / "afile").is_file()
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,out", [("forward", "afile"), ("roundtrip", "afile/sub")])
+def test_unusable_output_dir_fails_before_the_solve(tmp_path, monkeypatch, command, out):
+    write_config(tmp_path / "config.json")
+    (tmp_path / "afile").touch()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the forward solve ran")
+
+    monkeypatch.setattr(cli, "emt_table", no_solve)
+    argv = [command, str(tmp_path / "config.json"), "--out", str(tmp_path / out)]
+    assert cli.main(argv) == 2
+    assert (tmp_path / "afile").is_file()
+
+
+@pytest.mark.parametrize("command,blocked", [("forward", "emt_table.json"),
+                                             ("reconstruct", "boundary.csv")])
+def test_unwritable_output_file_exits_2(tmp_path, command, blocked):
+    write_config(tmp_path / "config.json")
+    values = disk_emt_table(SOFT, 1.0, 0.0, 2)
+    doc = table_doc(2, lambda n, m, t, s: float(values[n - 1, m - 1, t - 1, s - 1]))
+    (tmp_path / "table.json").write_text(json.dumps(doc))
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    args = ("config.json", "table.json") if command == "reconstruct" else ("config.json",)
+    result = run_cli(command, *args, cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert f"configuration error: cannot write {Path('out', blocked)}" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_invalid_table_schema_exits_2(tmp_path):

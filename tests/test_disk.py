@@ -84,6 +84,22 @@ def test_recentering_matrix_inverse_is_opposite_shift():
     assert np.max(np.abs(product - np.eye(24))) < 1e-12
 
 
+@pytest.mark.parametrize("order", [1, 2, 6, 24, 40])
+@pytest.mark.parametrize("a0", [0.0, -0.9 + 1.2j, 0.3 - 0.2j])
+def test_recentering_matrix_matches_definition(order, a0):
+    # row (n, t), column (k, s): Re/Im of u_nk = q_t C(n,k) (-a0)^(n-k) for s = 1/2
+    want = np.zeros((order, 2, order, 2))
+    for n in range(1, order + 1):
+        for k in range(1, n + 1):
+            for t, q in ((1, 1.0), (2, 1.0j)):
+                u = q * (math.comb(n, k) * complex(-a0) ** (n - k))
+                want[n - 1, t - 1, k - 1] = u.real, u.imag
+    got = recentering_matrix(order, a0)
+    assert np.array_equal(got, want.reshape(2 * order, 2 * order))
+    got[...] = 7.0  # the per-order tables behind it are shared between calls
+    assert np.array_equal(recentering_matrix(order, a0), want.reshape(2 * order, 2 * order))
+
+
 def test_general_emt_index_validation():
     with pytest.raises(ValueError):
         disk_emt_general(SOFT, 1.0, 0.0, 1, 1, 3, 1)

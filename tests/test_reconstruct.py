@@ -294,6 +294,15 @@ def adversarial_case(kind):
     elif kind == "nan":
         samples = samples.copy()
         samples[7] = complex(math.nan, 0.0)
+    elif kind == "one-sample":
+        samples = reconstruct_curve(estimate("starfish", 12, 1e-2), 1)
+    elif kind == "sixteen-rows":
+        # 12 + 4 rows: the batches of 1, 2, 4 and 8 rows leave one row for the last
+        samples = reconstruct_curve(estimate("ellipse", 6, 1e-2), 12)
+        truth = sample(SHAPES["ellipse"], 4)
+    elif kind == "duplicates":
+        # repeated points tie their bounds; the doubled outlier ties at the maximum
+        samples = np.concatenate([rng.choice(truth.z, 300), np.repeat(truth.z[0] + 0.5, 2)])
     return samples, truth, center
 
 
@@ -302,7 +311,7 @@ CASES = [pytest.param(functools.partial(estimate_case, shape, order, sigma2),
          for shape in SHAPES for order in (6, 12, 24) for sigma2 in (0.0, 1e-4, 1e-2)]
 CASES += [pytest.param(functools.partial(adversarial_case, kind), id=kind)
           for kind in ("center-outside", "permuted", "theta-4", "point-cloud",
-                       "identical", "nan")]
+                       "identical", "nan", "one-sample", "sixteen-rows", "duplicates")]
 
 
 @pytest.mark.parametrize("make", CASES)
