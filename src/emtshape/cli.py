@@ -17,8 +17,11 @@ A run is configured by a single JSON document
 with ``nodes`` (default NODES) and ``noise`` optional and no other keys;
 ``order`` must stay below ``nodes``/2, the highest mode the quadrature
 resolves.  The flags ``--order``, ``--nodes``, ``--noise-var``, ``--seed``
-and ``--out`` override the corresponding fields.  The recovered and the true
-boundary are compared at THETA_SAMPLES parameters.  Exit codes: 0 success,
+and ``--out`` override the corresponding fields.  ``reconstruct`` rejects
+``--noise-var`` and ``--seed``, since its table document records its own
+noise; it still accepts a config's ``noise`` block, because forward and
+reconstruct share config files.  The recovered and the true boundary are
+compared at THETA_SAMPLES parameters.  Exit codes: 0 success,
 1 numerical failure, 2 configuration error (an output directory that cannot
 be created or an output file that cannot be written is one).  Outputs carry
 no timestamps, so identical configurations produce byte-identical files.
@@ -35,7 +38,15 @@ from pathlib import Path
 import numpy as np
 
 from .disk import disk_emt_table
-from .emt import EmtTable, NoiseModel, apply_noise, emt_table, table_from_json, table_to_json
+from .emt import (
+    EmtTable,
+    NoiseModel,
+    _provenance_to_json,
+    apply_noise,
+    emt_table,
+    table_from_json,
+    table_to_json,
+)
 from .geometry import (
     BoundaryCurve,
     CurveDescriptor,
@@ -280,7 +291,7 @@ def cmd_roundtrip(config: RunConfig) -> dict:
         "shape": descriptor_to_json(config.shape),
         "order": min(config.order, table.order),
         "nodes": config.nodes,
-        "noise": table_to_json(table)["provenance"],
+        "noise": _provenance_to_json(table.provenance),
         "estimate": shape_estimate_to_json(estimate),
         "error": {"hausdorff": err.hausdorff, "radialL2": err.radial_l2},
     }
@@ -350,6 +361,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "oracle":
             return 0 if cmd_oracle() else 1
+        if args.command == "reconstruct":
+            flags = [flag for flag, value in (("--noise-var", args.noise_var),
+                                              ("--seed", args.seed)) if value is not None]
+            if flags:
+                raise ConfigError(f"reconstruct does not take {' or '.join(flags)}: "
+                                  "the table document records its own noise")
         config = load_config(args.config, order=args.order, nodes=args.nodes,
                              noise_var=args.noise_var, seed=args.seed, out=args.out)
         if args.command != "forward" and config.order < 2:

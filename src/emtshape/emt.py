@@ -100,15 +100,14 @@ def apply_noise(table: EmtTable, noise: NoiseModel) -> EmtTable:
     return EmtTable(table.order, table.values * factors, noise)
 
 
+def _provenance_to_json(noise: NoiseModel | None) -> dict:
+    """The "provenance" block of a table document."""
+    if noise is None:
+        return {"kind": "exact"}
+    return {"kind": "noisy", "sigma2": noise.sigma2, "seed": noise.seed}
+
+
 def table_to_json(table: EmtTable) -> dict:
-    if table.provenance is None:
-        provenance: dict = {"kind": "exact"}
-    else:
-        provenance = {
-            "kind": "noisy",
-            "sigma2": table.provenance.sigma2,
-            "seed": table.provenance.seed,
-        }
     entries = [
         {"n": n, "m": m, "t": t, "s": s,
          "value": float(table.values[n - 1, m - 1, t - 1, s - 1])}
@@ -117,7 +116,8 @@ def table_to_json(table: EmtTable) -> dict:
         for t in (1, 2)
         for s in (1, 2)
     ]
-    return {"order": table.order, "provenance": provenance, "entries": entries}
+    return {"order": table.order, "provenance": _provenance_to_json(table.provenance),
+            "entries": entries}
 
 
 def table_from_json(data: dict) -> EmtTable:

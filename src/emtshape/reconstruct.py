@@ -10,6 +10,7 @@ perturbation.  The product eps*h_k is never separated into factors.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -134,8 +135,12 @@ def fourier_coefficients(delta: np.ndarray, gamma: float,
     D^{(1,1)} - D^{(2,2)} + i (D^{(1,2)} + D^{(2,1)}).
 
     Returns (coeffs, diagnostics); diagnostics carries the discarded
-    imaginary part of h_0 and the second-channel consistency values
-    eps*h_{n+m+2}, which are reported but never merged into the estimate.
+    imaginary part of h_0 ("h0Imag") and the second-channel consistency
+    values eps*h_{n+m+2}, which are reported but never merged into the
+    estimate.  "secondChannel" holds them as read-only columns "n", "m",
+    "k" = n + m + 2 <= order - 1 (row-major in (n, m)), complex "value" and
+    float "firstChannelGap" = |value - coeffs[k]|; all are empty when M2 = 0.
+    shape_estimate_to_json turns the columns into rows.
     """
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
@@ -146,33 +151,39 @@ def fourier_coefficients(delta: np.ndarray, gamma: float,
         )
     m1, m2 = mat.constants.m1, mat.constants.m2
     order = delta.shape[0]
-    d11, d12 = delta[:, :, 0, 0], delta[:, :, 0, 1]
-    d21, d22 = delta[:, :, 1, 0], delta[:, :, 1, 1]
-    first = d11 + d22 - 1j * (d12 - d21)
-    second = d11 - d22 + 1j * (d12 + d21)
-
     n = np.arange(1, order + 1)  # (n, m) = (k + 1, 1)
-    coeffs = first[:, 0] / (16.0 * math.pi * n * gamma ** (n + 1) * mu_gap * m1)
+    d1 = delta[:, 0]
+    first = d1[:, 0, 0] + d1[:, 1, 1] - 1j * (d1[:, 0, 1] - d1[:, 1, 0])
+    coeffs = first / (16.0 * math.pi * n * gamma ** (n + 1) * mu_gap * m1)
     h0_imag = float(coeffs[0].imag)
     coeffs[0] = coeffs[0].real
 
-    second_channel = []
-    if m2 != 0.0:
-        # (n, m) pairs with k = n + m + 2 <= order - 1, in row-major order
-        ni, mi = np.nonzero(np.add.outer(n, n) <= order - 3)
-        nn, mm = n[ni], n[mi]
-        k = nn + mm + 2
-        denom = 16.0 * math.pi * nn * mm * gamma ** (nn + mm) * mu_gap * m1 * m2
-        value = second[ni, mi] / denom
-        gap = np.abs(value - coeffs[k])
-        second_channel = [
-            {"n": a, "m": b, "k": c, "value": [re, im], "firstChannelGap": g}
-            for a, b, c, re, im, g in zip(nn.tolist(), mm.tolist(), k.tolist(),
-                                          value.real.tolist(), value.imag.tolist(),
-                                          gap.tolist())
-        ]
+    # with M2 = 0 the second channel carries no data: order 0 gives no rows
+    nn, mm, k = _second_channel_index(order if m2 != 0.0 else 0)
+    d = delta[nn - 1, mm - 1]
+    second = d[:, 0, 0] - d[:, 1, 1] + 1j * (d[:, 0, 1] + d[:, 1, 0])
+    denom = 16.0 * math.pi * nn * mm * gamma ** (nn + mm) * mu_gap * m1 * m2
+    value = second / denom
+    gap = np.abs(value - coeffs[k])
+    value.setflags(write=False)
+    gap.setflags(write=False)
+    second_channel = {"n": nn, "m": mm, "k": k, "value": value, "firstChannelGap": gap}
     diagnostics = {"h0Imag": h0_imag, "secondChannel": second_channel}
     return coeffs, diagnostics
+
+
+@functools.cache
+def _second_channel_index(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only n, m and k = n + m + 2 of the second-channel pairs with
+    k <= order - 1, in row-major (n, m) order; they depend on the order
+    alone, so each order builds them once per process."""
+    deg = np.arange(1, order + 1)
+    ni, mi = np.nonzero(np.add.outer(deg, deg) <= order - 3)
+    n, m = deg[ni], deg[mi]
+    k = n + m + 2
+    for column in (n, m, k):
+        column.setflags(write=False)
+    return n, m, k
 
 
 def reconstruct(table: EmtTable, mat: MaterialPair,
@@ -191,8 +202,7 @@ def reconstruct(table: EmtTable, mat: MaterialPair,
     # a second-channel value is finite when its gap to a finite coefficient is
     finite = (cmath.isfinite(disk.a0) and math.isfinite(diagnostics["h0Imag"])
               and np.isfinite(gaps).all() and np.isfinite(coeffs).all()
-              and all(math.isfinite(row["firstChannelGap"])
-                      for row in diagnostics["secondChannel"]))
+              and np.isfinite(diagnostics["secondChannel"]["firstChannelGap"]).all())
     if not finite:
         raise InversionError("the inversion of this table overflows or is not finite "
                              f"(a0 = {disk.a0:.6g}, gamma = {disk.gamma:.6g})")
@@ -276,9 +286,21 @@ def _hausdorff(p: np.ndarray, ang_p: np.ndarray,
 
 
 def shape_estimate_to_json(est: ShapeEstimate) -> dict:
+    """JSON document of an estimate; the second-channel columns become one
+    {"n", "m", "k", "value": [re, im], "firstChannelGap"} row per pair."""
+    diagnostics = dict(est.diagnostics)
+    if "secondChannel" in diagnostics:
+        cols = diagnostics["secondChannel"]
+        diagnostics["secondChannel"] = [
+            {"n": n, "m": m, "k": k, "value": [re, im], "firstChannelGap": g}
+            for n, m, k, re, im, g in zip(cols["n"].tolist(), cols["m"].tolist(),
+                                          cols["k"].tolist(), cols["value"].real.tolist(),
+                                          cols["value"].imag.tolist(),
+                                          cols["firstChannelGap"].tolist())
+        ]
     return {
         "a0": [float(est.disk.a0.real), float(est.disk.a0.imag)],
         "gamma": float(est.disk.gamma),
         "coeffs": [[float(c.real), float(c.imag)] for c in est.coeffs],
-        "diagnostics": est.diagnostics,
+        "diagnostics": diagnostics,
     }

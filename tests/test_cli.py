@@ -218,6 +218,23 @@ def test_negative_seed_flag_exits_2(tmp_path):
     assert "seed" in result.stderr
 
 
+@pytest.mark.parametrize("flags,noise", [
+    pytest.param(("--noise-var", "0.5"), None, id="noise-var"),
+    pytest.param(("--noise-var", "0.5", "--seed", "3"), None, id="noise-var-and-seed"),
+    pytest.param(("--seed", "3"), {"sigma2": 0.02, "seed": 11}, id="seed-with-noise-block"),
+])
+def test_reconstruct_rejects_noise_flags(tmp_path, flags, noise):
+    # the table document carries its own provenance, so a noise flag would be ignored
+    write_config(tmp_path / "config.json", noise=noise)
+    (tmp_path / "table.json").write_text(json.dumps(table_doc(2, unit_diagonal)))
+    result = run_cli("reconstruct", "config.json", "table.json", *flags, cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "configuration error" in result.stderr
+    assert flags[0] in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_contradictory_table_exits_1(tmp_path):
     write_config(tmp_path / "config.json")
     (tmp_path / "table.json").write_text(json.dumps(table_doc(2, lambda *_: 1.0)))

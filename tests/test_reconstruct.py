@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -165,14 +166,13 @@ def test_single_mode_recovery():
 def test_second_channel_diagnostics_reported():
     table = emt_table(sample(Starfish(0.0, 0.125, 5), 128), SOFT, 6)
     est = reconstruct(table, SOFT)
-    rows = est.diagnostics["secondChannel"]
-    assert rows, "expected consistency rows for order 6"
-    for row in rows:
-        assert row["k"] == row["n"] + row["m"] + 2
-        assert row["k"] <= 5
-        assert "firstChannelGap" in row
+    cols = est.diagnostics["secondChannel"]
+    assert cols["k"].size, "expected consistency rows for order 6"
+    assert np.array_equal(cols["k"], cols["n"] + cols["m"] + 2)
+    assert cols["k"].max() <= 5
+    assert cols["firstChannelGap"].shape == cols["k"].shape
     # the (1, 2) and (2, 1) rows both target k = 5 and must agree
-    k5 = [complex(*row["value"]) for row in rows if row["k"] == 5]
+    k5 = cols["value"][cols["k"] == 5]
     assert len(k5) == 2
     assert abs(k5[0] - k5[1]) < 1e-8
 
@@ -235,7 +235,8 @@ def test_shape_estimate_json_round_trip():
     assert complex(*back["a0"]) == est.disk.a0
     assert back["gamma"] == est.disk.gamma
     assert np.array_equal([complex(*c) for c in back["coeffs"]], est.coeffs)
-    assert back["diagnostics"] == est.diagnostics
+    assert back["diagnostics"] == doc["diagnostics"]
+    assert back["diagnostics"]["h0Imag"] == est.diagnostics["h0Imag"]
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +380,57 @@ def test_second_channel_matches_loop_reference(mat, shape, sigma2):
     coeffs, diagnostics = fourier_coefficients(delta, disk.gamma, mat)
     got = diagnostics["secondChannel"]
     want = loop_second_channel(delta, coeffs, disk.gamma, mat)
-    assert len(got) == 210
-    assert [(e["n"], e["m"], e["k"]) for e in got] == [w[:3] for w in want]
+    assert got["k"].size == 210
+    assert list(zip(got["n"].tolist(), got["m"].tolist(), got["k"].tolist())) == [
+        w[:3] for w in want]
     eps = np.finfo(float).eps
-    for entry, (_, _, k, value, gap) in zip(got, want):
+    for got_value, got_gap, (_, _, k, value, gap) in zip(
+            got["value"], got["firstChannelGap"], want):
         # the division is complex/real instead of complex/complex: a few ulp
-        assert abs(complex(*entry["value"]) - value) <= 4 * eps * abs(value)
+        assert abs(got_value - value) <= 4 * eps * abs(value)
         scale = max(abs(value), abs(coeffs[k]))
-        assert abs(entry["firstChannelGap"] - gap) <= 4 * eps * scale
+        assert abs(got_gap - gap) <= 4 * eps * scale
+
+
+SECOND_CHANNEL_COLUMNS = ("n", "m", "k", "value", "firstChannelGap")
+
+
+@pytest.mark.parametrize("mat", [SOFT, STIFF])
+@pytest.mark.parametrize("order", [6, 24])
+@pytest.mark.parametrize("sigma2", [0.0, 1e-4])
+def test_second_channel_json_rows_match_columns(mat, order, sigma2):
+    table = emt_table(sample(SHAPES["starfish"], 128), mat, order)
+    if sigma2:
+        table = apply_noise(table, NoiseModel(sigma2, 3))
+    est = reconstruct(table, mat)
+    cols = est.diagnostics["secondChannel"]
+    assert set(cols) == set(SECOND_CHANNEL_COLUMNS)
+    for name in SECOND_CHANNEL_COLUMNS:
+        assert not cols[name].flags.writeable, name
+        with pytest.raises(ValueError):
+            cols[name][...] = 0
+    rows = shape_estimate_to_json(est)["diagnostics"]["secondChannel"]
+    assert len(rows) == cols["k"].size == (order - 3) * (order - 4) // 2
+    for i, row in enumerate(rows):
+        assert list(row) == list(SECOND_CHANNEL_COLUMNS)
+        for name in ("n", "m", "k"):
+            assert type(row[name]) is int and row[name] == cols[name][i]
+        assert [type(part) for part in row["value"]] == [float, float]
+        assert complex(*row["value"]) == cols["value"][i]
+        assert type(row["firstChannelGap"]) is float
+        assert row["firstChannelGap"] == cols["firstChannelGap"][i]
+
+
+def test_second_channel_columns_empty_without_m2():
+    # M2 = 0 needs beta = 0, which no admissible pair reaches; stub the constants
+    constants = SimpleNamespace(m1=SOFT.constants.m1, m2=0.0)
+    mat = SimpleNamespace(inclusion=SOFT.inclusion, background=SOFT.background,
+                          constants=constants)
+    delta = np.ones((24, 24, 2, 2))
+    coeffs, diagnostics = fourier_coefficients(delta, 1.0, mat)
+    cols = diagnostics["secondChannel"]
+    assert coeffs.size == 24
+    assert [cols[name].size for name in SECOND_CHANNEL_COLUMNS] == [0] * 5
+    assert cols["value"].dtype == complex and cols["firstChannelGap"].dtype == float
+    est = ShapeEstimate(DiskEstimate(0.0, 1.0), coeffs, diagnostics)
+    assert shape_estimate_to_json(est)["diagnostics"]["secondChannel"] == []
