@@ -193,7 +193,8 @@ def reconstruct(table: EmtTable, mat: MaterialPair,
         order = table.order
     if not 1 <= order <= table.order:
         raise ValueError(f"order must lie in 1..{table.order}")
-    sub = EmtTable(order, table.values[:order, :order], table.provenance)
+    sub = (table if order == table.order
+           else EmtTable(order, table.values[:order, :order], table.provenance))
     disk = estimate_disk(sub, mat)
     # overflow shows up as inf or nan, which the one check below catches
     with np.errstate(all="ignore"):

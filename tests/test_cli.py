@@ -281,6 +281,21 @@ def test_non_finite_inversion_exits_1(tmp_path, make_table, materials):
     assert not (tmp_path / "out" / "shape_estimate.json").exists()
 
 
+def test_singular_system_exits_1(tmp_path, monkeypatch, capsys):
+    write_config(tmp_path / "config.json")
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    argv = ["forward", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: transmission system singular (cond ~ ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "emt_table.json").exists()
+
+
 @pytest.mark.parametrize("command,out", [("forward", "afile"), ("roundtrip", "afile/sub")])
 def test_uncreatable_output_dir_exits_2(tmp_path, command, out):
     write_config(tmp_path / "config.json")

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from emtshape import transmission
 from emtshape.geometry import Disk, Kite, sample
 from emtshape.materials import LameConstants, MaterialPair
 from emtshape.transmission import (
-    _curve_operators,
+    _assemble,
+    _circulant_rows,
     _log_quadrature_row,
-    _trace_block,
+    _panel_pieces,
+    _periodic_columns,
+    _trace_rows,
     evaluate_background,
     residual_norms,
     rigid_motion_residuals,
@@ -22,9 +26,14 @@ KITE = Kite(0.6 + 0.8j, 0.65)
 
 
 def trace_block(curve, alpha, beta):
-    block = np.empty((2 * curve.n, 2 * curve.n))
-    _trace_block(block, _curve_operators(curve), alpha, beta)
-    return block
+    # the real block of S[phi]|, from the pieces of one panel over every node;
+    # _trace_rows writes the rows of its transpose
+    n = curve.n
+    log, kern, *_ = _panel_pieces(curve, 0, n)
+    rows = np.empty((2 * n, 2 * n))
+    _trace_rows(rows[:n], rows[n:], log, kern, curve.weight, alpha, beta,
+                np.empty((2, n, n)))
+    return rows.T
 
 
 def nodes(n):
@@ -67,6 +76,26 @@ def test_log_quadrature_annihilates_constants():
     assert abs(_log_quadrature_row(64).sum()) < 1e-12
 
 
+@pytest.mark.parametrize("n", [4, 6, 32])
+def test_periodic_columns_built_once_per_node_count(n):
+    cols = _periodic_columns(n)
+    assert all(again is first for again, first in zip(_periodic_columns(n), cols))
+    for col in cols:
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 0.0
+    ik, *circulants = cols
+    # fft order, the Nyquist mode dropped
+    k = np.concatenate([np.arange(n // 2), [0], np.arange(1 - n // 2, 0)])
+    assert np.array_equal(ik, 1j * k)
+    j = np.arange(n)
+    for col2 in circulants:
+        col = col2[:n]
+        for lo, hi in [(0, n), (1, n // 2 + 1), (n - 1, n)]:
+            l = np.arange(lo, hi)[:, None]
+            assert np.array_equal(_circulant_rows(col2, lo, hi), col[(j - l) % n])
+
+
 @pytest.mark.parametrize("k", [0, 1, -1, 2, -2, 5])
 def test_single_layer_trace_circle_symbol(k):
     # S[e^{ik tau}] = -(alpha/2|k|) e^{ik theta} on the unit circle, plus the
@@ -90,9 +119,8 @@ def test_cauchy_boundary_values_circle(k):
     # interior value of C[e^{ik tau}]: -e^{i(k-1)theta} for k >= 1, else 0;
     # exterior value: +e^{i(k-1)theta} for k <= 0, else 0
     curve = sample(Disk(0.0, 1.0), 32)
-    a_re, a_im = _curve_operators(curve).a
-    a_ext = a_re + 1j * a_im
-    a_int = a_ext - 1j * np.diag(np.abs(curve.dz))  # the diagonal _traction_block adds
+    a_ext = _panel_pieces(curve, 0, curve.n)[2].T
+    a_int = a_ext - 1j * np.diag(np.abs(curve.dz))  # the diagonal _traction_rows adds
     c_int, c_ext = a_int / curve.dz[:, None], a_ext / curve.dz[:, None]
     theta = nodes(32)
     f = np.exp(1j * k * theta)
@@ -189,32 +217,50 @@ def test_exact_disk_densities_satisfy_equations(mat, n, q):
 @pytest.mark.parametrize("t,n", [(1, 1), (2, 1), (1, 2), (2, 3)])
 def test_solver_matches_disk_closed_form(mat, t, n):
     center, gamma = -0.9 + 1.2j, 0.7
-    curve = sample(Disk(center, gamma), 128)
-    h, traction = evaluate_background(curve, mat.background.mu, n, center)
-    j = row(n, t)
-    psi, phi = solve_densities(curve, mat, h[j : j + 1], traction[j : j + 1])
-    q = 1.0 if t == 1 else 1.0j
-    phi_exact, psi_exact = disk_densities(mat, gamma, n, curve, q)
-    scale = max(np.max(np.abs(phi_exact)), np.max(np.abs(psi_exact)))
-    assert np.max(np.abs(phi[0] - phi_exact)) < 1e-8 * scale
-    assert np.max(np.abs(psi[0] - psi_exact)) < 1e-8 * scale
+    # node counts on, off and below the panel size
+    for nodes in (128, 100, 48):
+        curve = sample(Disk(center, gamma), nodes)
+        h, traction = evaluate_background(curve, mat.background.mu, n, center)
+        j = row(n, t)
+        psi, phi = solve_densities(curve, mat, h[j : j + 1], traction[j : j + 1])
+        q = 1.0 if t == 1 else 1.0j
+        phi_exact, psi_exact = disk_densities(mat, gamma, n, curve, q)
+        scale = max(np.max(np.abs(phi_exact)), np.max(np.abs(psi_exact)))
+        assert np.max(np.abs(phi[0] - phi_exact)) < 1e-8 * scale
+        assert np.max(np.abs(psi[0] - psi_exact)) < 1e-8 * scale
 
 
 @pytest.mark.parametrize("mat", [SOFT, STIFF])
 @pytest.mark.parametrize("t,n", [(1, 1), (2, 2), (3, 1), (4, 2)])
 def test_kite_solution_residuals(t, n, mat):
-    curve = sample(KITE, 128)
-    if t in (1, 2):
-        h, traction = evaluate_background(curve, mat.background.mu, n)
-        j = row(n, t)
-        h, traction = h[j : j + 1], traction[j : j + 1]
-    else:
-        h, traction = holomorphic_background(curve, mat, t, n)
-    psi, phi = solve_densities(curve, mat, h, traction)
-    trace_res, traction_res = residual_norms(curve, mat, h, traction, psi, phi)
-    assert trace_res[0] < 1e-10
-    assert traction_res[0] < 1e-10
-    assert np.max(np.abs(rigid_motion_residuals(curve, phi))) < 1e-10
+    # node counts on and off the panel size; below it the kite is under-
+    # resolved and the traction residual is above round-off (8e-10 at N=64)
+    for nodes in (128, 100):
+        curve = sample(KITE, nodes)
+        if t in (1, 2):
+            h, traction = evaluate_background(curve, mat.background.mu, n)
+            j = row(n, t)
+            h, traction = h[j : j + 1], traction[j : j + 1]
+        else:
+            h, traction = holomorphic_background(curve, mat, t, n)
+        psi, phi = solve_densities(curve, mat, h, traction)
+        trace_res, traction_res = residual_norms(curve, mat, h, traction, psi, phi)
+        assert trace_res[0] < 1e-10
+        assert traction_res[0] < 1e-10
+        assert np.max(np.abs(rigid_motion_residuals(curve, phi))) < 1e-10
+        # LAPACK factors in column-major order, so the LU copies the
+        # system without a transpose
+        assert _assemble(curve, mat).flags.f_contiguous
+
+
+@pytest.mark.parametrize("nodes", [16, 100])
+def test_panel_partition_leaves_the_system_unchanged(monkeypatch, nodes):
+    # every entry takes the same operations whichever panel its source is in
+    curve = sample(KITE, nodes)
+    system = _assemble(curve, STIFF)
+    for panel in (1, 7, nodes):
+        monkeypatch.setattr(transmission, "_PANEL", panel)
+        assert np.array_equal(_assemble(curve, STIFF), system)
 
 
 def test_batched_solve_matches_single():

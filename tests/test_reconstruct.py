@@ -186,10 +186,18 @@ def test_readme_quick_start_numbers():
     assert abs(est.coeffs[5] - 0.126) < 5e-4
 
 
+def same_estimate(a, b):
+    return (np.array_equal(a.coeffs, b.coeffs)
+            and shape_estimate_to_json(a) == shape_estimate_to_json(b))
+
+
 def test_reconstruct_order_slicing():
     table = exact_disk_table(SOFT, 1.0, 0.1j, 6)
     est = reconstruct(table, SOFT, order=3)
     assert est.coeffs.size == 3
+    sliced = EmtTable(3, table.values[:3, :3], table.provenance)
+    assert same_estimate(est, reconstruct(sliced, SOFT))
+    assert same_estimate(reconstruct(table, SOFT), reconstruct(table, SOFT, order=6))
     with pytest.raises(ValueError):
         reconstruct(table, SOFT, order=7)
     with pytest.raises(ValueError):
