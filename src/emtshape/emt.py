@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import BoundaryCurve, json_number
 from .materials import MaterialPair
-from .transmission import evaluate_background, solve_densities
+from .transmission import SolverError, evaluate_background, solve_densities
 
 __all__ = [
     "EmtTable",
@@ -72,7 +72,8 @@ class EmtTable:
 
 
 def emt_table(curve: BoundaryCurve, mat: MaterialPair, order: int) -> EmtTable:
-    """All entries with n, m <= order and t, s in {1, 2}.
+    """All entries with n, m <= order and t, s in {1, 2}; raises
+    SolverError when they are not finite.
 
     The transmission system is factorized once; the 2*order fields h_n^(t)
     serve both as right-hand sides and as test fields, so the table is one
@@ -81,9 +82,12 @@ def emt_table(curve: BoundaryCurve, mat: MaterialPair, order: int) -> EmtTable:
     if order < 1:
         raise ValueError("order must be a positive integer")
     # rows (n, t) and columns (m, s) flattened as 2(n-1) + (t-1)
-    h, traction = evaluate_background(curve, mat.background.mu, order)
-    _, phi = solve_densities(curve, mat, h, traction)
-    values = ((np.conj(phi) * curve.weight) @ h.T).real
+    with np.errstate(all="ignore"):  # a curve far from unit size overflows
+        h, traction = evaluate_background(curve, mat.background.mu, order)
+        _, phi = solve_densities(curve, mat, h, traction)
+        values = ((np.conj(phi) * curve.weight) @ h.T).real
+    if not np.all(np.isfinite(values)):
+        raise SolverError(f"order-{order} EMT table is not finite")
     return EmtTable(order, values.reshape(order, 2, order, 2).transpose(0, 2, 1, 3))
 
 

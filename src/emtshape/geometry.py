@@ -166,7 +166,7 @@ def fourier_series(k, c, n: int) -> np.ndarray:
     return np.fft.ifft(folded, norm="forward")
 
 
-def sample(descriptor: CurveDescriptor, n: int = 256) -> BoundaryCurve:
+def sample(descriptor: CurveDescriptor, n: int) -> BoundaryCurve:
     """Sample a descriptor at n uniform parameters.
 
     n must be even (the singular-kernel quadrature downstream needs it) and

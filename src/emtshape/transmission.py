@@ -10,10 +10,12 @@ of the single-layer trace uses the trigonometric product quadrature (exact
 for trigonometric polynomials below the Nyquist mode); the traction operators
 are built from boundary values of Cauchy-type integrals (circular Hilbert
 transform + smooth remainder) and spectral differentiation.  Conjugations
-make every operator real-linear but not complex-linear, so the assembled
-system is real of size 4N+3: the extra three columns are rigid-motion slacks
-attached to the traction rows, the extra three rows the orthogonality
-constraints on phi.
+make every operator real-linear but not complex-linear, u -> P u + Q conj(u),
+so the assembled system is real of size 4N+3.  Its unknowns and equations
+interleave real and imaginary parts node by node, so each operator enters as
+P + Q and i (P - Q) viewed as float pairs; the extra three columns are
+rigid-motion slacks attached to the traction rows, the extra three rows the
+orthogonality constraints on phi.
 
 The system is filled in the Fortran order LAPACK factors in, one panel of
 source nodes at a time, so no N x N piece of it is ever held; the circulant
@@ -118,67 +120,44 @@ def _log_quadrature_row(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# assembly.  Every operator below is real-linear, phi -> P phi + Q conj(phi),
-# and enters the system as the real 2N x 2N block
-# [[Re P + Re Q, Im Q - Im P], [Im P + Im Q, Re P - Re Q]].  P and Q are
-# material scalars times the curve-only pieces of _panel_pieces, so the
-# materials only scale them.  A^T is filled in C order, which is A in the
-# Fortran order LAPACK factors in: the pieces of one panel of source nodes l
-# give the rows of A^T that hold Re/Im psi_l and Re/Im phi_l.
+# assembly.  Every operator below is real-linear, u -> P u + Q conj(u), with
+# P and Q material scalars times the curve-only pieces of _panel_pieces, so
+# the materials only scale them.  Unknowns and equations interleave the real
+# and imaginary parts node by node: the unknowns are (Re psi_0, Im psi_0,
+# Re psi_1, ..., Re phi_0, Im phi_0, ..., three slacks), the equations (trace,
+# traction, three constraints) in the same way.  A^T is filled in C order,
+# which is A in the Fortran order LAPACK factors in: the pieces of one panel
+# of source nodes l give the rows of A^T that hold psi_l and phi_l.
 
 # source nodes per panel; 16, 32 and 128 assemble no faster at N = 256 and 512
 _PANEL = 64
 
 
-def _scaled_sum(buf: np.ndarray, s: float, x: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
-    """x s + t y, formed in buf[0] with buf[1] as scratch."""
-    out, scratch = buf
-    np.multiply(x, s, out=out)
-    out += np.multiply(y, t, out=scratch)
-    return out
+def _write_real_linear(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
+    """Write u -> P u + Q conj(u) into the rows of A^T that hold Re u_l and
+    Im u_l of the panel's sources, over the 2N equations (Re, Im) of the
+    targets.  p and q are P^T and Q^T, entry [l - lo, j].  Since
+    P u + Q conj(u) = (P + Q) Re u + i (P - Q) Im u, those rows are
+    P + Q and i (P - Q) with each complex entry viewed as its (Re, Im) pair."""
+    rows[0::2] = (p + q).view(float)
+    rows[1::2] = (1j * (p - q)).view(float)
 
 
-def _trace_rows(re: np.ndarray, im: np.ndarray, log: np.ndarray, kern: np.ndarray,
-                w: np.ndarray, alpha: float, beta: float, buf: np.ndarray) -> None:
-    """Write the single-layer trace S[phi]| into the rows re and im of A^T
-    that hold the unknowns Re phi_l and Im phi_l of the panel's sources, over
-    the 2N trace equations.  w is the weight at those sources; buf is two
-    panel-sized scratch arrays."""
-    n = log.shape[1]
+def _single_layer(log: np.ndarray, kern: np.ndarray, w: np.ndarray,
+                  alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """P^T and Q^T of the single-layer trace S[u]|; w is the weight at the
+    panel's sources.  P = alpha log + c 1 w^T is real, Q = c kern, with
+    c = -beta / 4 pi."""
     c = -beta / (4.0 * math.pi)
-    cw = (c * w)[:, None]
-    # P = alpha log + c 1 w^T is real; Q = c kern
-    block = _scaled_sum(buf, alpha, log, c, kern.real)
-    block += cw
-    re[:, :n] = block
-    block = _scaled_sum(buf, alpha, log, -c, kern.real)
-    block += cw
-    im[:, n:] = block
-    block = np.multiply(kern.imag, c, out=buf[0])
-    im[:, :n] = block
-    re[:, n:] = block
+    return alpha * log + (c * w)[:, None], c * kern
 
 
-def _traction_rows(re: np.ndarray, im: np.ndarray, a: np.ndarray, q: np.ndarray,
-                   alpha: float, beta: float, buf: np.ndarray,
-                   interior: tuple[int, np.ndarray] | None = None) -> None:
-    """Write dG/dtheta of the single layer, where traction * dsigma =
-    -2 i mu (dG/dtheta) dtheta, into the rows re and im of A^T over the 2N
-    traction equations (see _trace_rows).  interior, given for the interior
-    side, is the panel's first source node and |dz| at its sources: there
-    A_int = A - i diag(|dz|)."""
-    n = a.shape[1]
-    # P = (beta/2) A - (alpha/2) conj(A), Q = (beta/2) q
-    s, t, u = 0.5 * (beta - alpha), 0.5 * (beta + alpha), 0.5 * beta
-    re[:, :n] = _scaled_sum(buf, s, a.real, u, q.real)
-    im[:, :n] = _scaled_sum(buf, u, q.imag, -t, a.imag)
-    re[:, n:] = _scaled_sum(buf, t, a.imag, u, q.imag)
-    im[:, n:] = _scaled_sum(buf, s, a.real, -u, q.real)
-    if interior is not None:
-        lo, speed = interior
-        i = np.arange(len(speed))
-        im[i, lo + i] += t * speed
-        re[i, n + lo + i] -= t * speed
+def _traction(a: np.ndarray, q: np.ndarray, alpha: float,
+              beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """P^T and Q^T of dG/dtheta of the single layer, where traction * dsigma
+    = -2 i mu (dG/dtheta) dtheta: P = (beta/2) A - (alpha/2) conj(A) and
+    Q = (beta/2) q."""
+    return 0.5 * beta * a - 0.5 * alpha * np.conj(a), 0.5 * beta * q
 
 
 def _panel_pieces(curve: BoundaryCurve, lo: int, hi: int) -> tuple[np.ndarray, ...]:
@@ -247,52 +226,41 @@ def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:
     mu, mu_t = mat.background.mu, mat.inclusion.mu
     speed = np.abs(curve.dz)
 
-    # row r of at is the column of unknown r: Re psi, Im psi, Re phi, Im phi
-    # at the N nodes, then the three slacks; its columns are the equations
+    # row r of at is the column of unknown r; its columns are the equations
     at = np.zeros((4 * n + 3, 4 * n + 3))
-    psi_re, psi_im = at[:n, : 4 * n], at[n : 2 * n, : 4 * n]
-    phi_re, phi_im = at[2 * n : 3 * n, : 4 * n], at[3 * n : 4 * n, : 4 * n]
     trace, traction = slice(0, 2 * n), slice(2 * n, 4 * n)
-    # ufuncs write into the strided rows of at at about half the speed of a
-    # copy, so each block is formed in buf and lands there in one copy
-    buf = np.empty((2, min(_PANEL, n), n))
     for lo in range(0, n, _PANEL):
         hi = min(lo + _PANEL, n)
-        src, panel = slice(lo, hi), buf[:, : hi - lo]
+        src = slice(lo, hi)
         log, kern, a, q_ext, q_int = _panel_pieces(curve, lo, hi)
-        # every block is linear in (alpha, beta), so the material factors scale them
-        _trace_rows(psi_re[src, trace], psi_im[src, trace], log, kern, w[src],
-                    k.alpha_tilde, k.beta_tilde, panel)
-        _trace_rows(phi_re[src, trace], phi_im[src, trace], log, kern, w[src],
-                    -k.alpha, -k.beta, panel)
-        _traction_rows(psi_re[src, traction], psi_im[src, traction], a, q_int,
-                       mu_t * k.alpha_tilde, mu_t * k.beta_tilde, panel,
-                       interior=(lo, speed[src]))
-        _traction_rows(phi_re[src, traction], phi_im[src, traction], a, q_ext,
-                       -mu * k.alpha, -mu * k.beta, panel)
+        psi, phi = at[2 * lo : 2 * hi], at[2 * (n + lo) : 2 * (n + hi)]
+        _write_real_linear(psi[:, trace], *_single_layer(log, kern, w[src],
+                                                         k.alpha_tilde, k.beta_tilde))
+        _write_real_linear(phi[:, trace], *_single_layer(log, kern, w[src],
+                                                         -k.alpha, -k.beta))
+        _write_real_linear(phi[:, traction], *_traction(a, q_ext, -mu * k.alpha,
+                                                        -mu * k.beta))
+        a[np.arange(hi - lo), np.arange(lo, hi)] -= 1j * speed[src]  # A_int
+        _write_real_linear(psi[:, traction], *_traction(a, q_int, mu_t * k.alpha_tilde,
+                                                        mu_t * k.beta_tilde))
 
-    # slack columns on the traction rows: constants and the dilation field z.
-    # The rows are written in dG/dtheta variables, so their exact left null
-    # space is spanned by Re/Im of the periodicity sum and by Re sum(conj(z) *
-    # row); the rotation i*z pairs to zero against the last and cannot close
-    # the rank, while z pairs to sum(|z|^2) > 0.
-    at[4 * n, 2 * n : 3 * n] = 1.0
-    at[4 * n + 1, 3 * n : 4 * n] = 1.0
-    at[4 * n + 2, 2 * n : 3 * n] = z.real
-    at[4 * n + 2, 3 * n : 4 * n] = z.imag
+    # slack columns on the traction rows: the constants 1 and i and the
+    # dilation field z.  The rows are written in dG/dtheta variables, so
+    # their exact left null space is spanned by Re/Im of the periodicity sum
+    # and by Re sum(conj(z) * row); the rotation i*z pairs to zero against
+    # the last and cannot close the rank, while z pairs to sum(|z|^2) > 0.
+    at[4 * n :, traction] = np.array([np.ones(n), np.full(n, 1j), z]).view(float)
 
-    # discrete orthogonality of phi to the rigid motions
-    at[2 * n : 3 * n, 4 * n] = w
-    at[3 * n : 4 * n, 4 * n + 1] = w
-    at[2 * n : 3 * n, 4 * n + 2] = w * z.imag
-    at[3 * n : 4 * n, 4 * n + 2] = -w * z.real
+    # discrete orthogonality of phi to the rigid motions m = 1, i and -i z:
+    # the column of m holds w (Re m, Im m), the pairing sum w Re(conj(m) phi)
+    at[2 * n : 4 * n, 4 * n :] = np.array([w, 1j * w, -1j * w * z]).view(float).T
     return at.T
 
 
 def _rhs(curve: BoundaryCurve, h: np.ndarray, traction: np.ndarray) -> np.ndarray:
     """The 4N equation rows of the right-hand side, one column per field."""
     v = 0.5j * np.abs(curve.dz) * traction  # = mu * dG_H/dtheta
-    return np.concatenate([h.real, h.imag, v.real, v.imag], axis=1).T
+    return np.concatenate([h, v], axis=1).view(float).T
 
 
 def solve_densities(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
@@ -308,15 +276,13 @@ def solve_densities(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(a)
-        raise SolverError(f"transmission system singular (cond ~ {cond:.3e})") from exc
+        raise SolverError("transmission system singular") from exc
     # freed before the densities are allocated; otherwise they end up above
     # it on the heap, and the caller that frees them pays for returning the
     # system's pages to the OS (0.5-0.7 ms at N = 256)
     del a
-    psi = x[:n] + 1j * x[n : 2 * n]
-    phi = x[2 * n : 3 * n] + 1j * x[3 * n : 4 * n]
-    return psi.T, phi.T
+    densities = np.ascontiguousarray(x[: 4 * n].T).view(complex)
+    return densities[:, :n], densities[:, n:]
 
 
 def rigid_motion_residuals(curve: BoundaryCurve, phi: np.ndarray) -> np.ndarray:
@@ -333,11 +299,11 @@ def residual_norms(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
     """Relative weighted-l2 residuals of the two discretized equations, one
     entry per field on axis 0 of the arrays."""
     n = curve.n
-    x = np.concatenate([psi.real, psi.imag, phi.real, phi.imag], axis=1).T
+    x = np.concatenate([psi, phi], axis=1).view(float).T
     b = _rhs(curve, h, traction)
     # a density pair carries no rigid-motion slacks: their columns drop out
     r = _assemble(curve, mat)[: 4 * n, : 4 * n] @ x - b
-    w2 = np.tile(curve.weight, 2)  # rows hold Re then Im of each equation
+    w2 = np.repeat(curve.weight, 2)  # rows hold Re and Im of each equation
 
     def wnorm(v):
         return np.sqrt(w2 @ v**2)

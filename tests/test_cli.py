@@ -287,12 +287,29 @@ def test_singular_system_exits_1(tmp_path, monkeypatch, capsys):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a singular system is reported without its condition number")
+
     monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
     argv = ["forward", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: transmission system singular (cond ~ ")
+    assert err.startswith("numerical failure: transmission system singular")
     assert "Traceback" not in err
+    assert not (tmp_path / "out" / "emt_table.json").exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "roundtrip"])
+def test_overflowing_table_exits_1(tmp_path, command):
+    # z^12 on a disk of radius 1e14 overflows in the table's pairing
+    write_config(tmp_path / "config.json", order=12,
+                 shape={"kind": "disk", "center": [0, 0], "radius": 1e14})
+    result = run_cli(command, "config.json", cwd=tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("numerical failure: ")
+    assert "Traceback" not in result.stderr
+    assert "Warning" not in result.stderr
     assert not (tmp_path / "out" / "emt_table.json").exists()
 
 

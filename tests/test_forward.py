@@ -12,7 +12,8 @@ from emtshape.transmission import (
     _log_quadrature_row,
     _panel_pieces,
     _periodic_columns,
-    _trace_rows,
+    _single_layer,
+    _write_real_linear,
     evaluate_background,
     residual_norms,
     rigid_motion_residuals,
@@ -27,12 +28,11 @@ KITE = Kite(0.6 + 0.8j, 0.65)
 
 def trace_block(curve, alpha, beta):
     # the real block of S[phi]|, from the pieces of one panel over every node;
-    # _trace_rows writes the rows of its transpose
+    # _write_real_linear writes the rows of its transpose
     n = curve.n
     log, kern, *_ = _panel_pieces(curve, 0, n)
     rows = np.empty((2 * n, 2 * n))
-    _trace_rows(rows[:n], rows[n:], log, kern, curve.weight, alpha, beta,
-                np.empty((2, n, n)))
+    _write_real_linear(rows, *_single_layer(log, kern, curve.weight, alpha, beta))
     return rows.T
 
 
@@ -51,10 +51,8 @@ def disk_densities(mat, gamma, n, curve, q):
 
 
 def apply_block(block, v):
-    # the real block acts on (Re v, Im v)
-    n = v.shape[0]
-    y = block @ np.concatenate([v.real, v.imag])
-    return y[:n] + 1j * y[n:]
+    # the real block acts on v with Re and Im interleaved node by node
+    return (block @ v.view(float)).view(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +118,7 @@ def test_cauchy_boundary_values_circle(k):
     # exterior value: +e^{i(k-1)theta} for k <= 0, else 0
     curve = sample(Disk(0.0, 1.0), 32)
     a_ext = _panel_pieces(curve, 0, curve.n)[2].T
-    a_int = a_ext - 1j * np.diag(np.abs(curve.dz))  # the diagonal _traction_rows adds
+    a_int = a_ext - 1j * np.diag(np.abs(curve.dz))  # the diagonal _assemble subtracts
     c_int, c_ext = a_int / curve.dz[:, None], a_ext / curve.dz[:, None]
     theta = nodes(32)
     f = np.exp(1j * k * theta)
@@ -129,6 +127,17 @@ def test_cauchy_boundary_values_circle(k):
     want_ext = mode if k <= 0 else 0.0 * mode
     assert np.max(np.abs(c_int @ f - want_int)) < 1e-12
     assert np.max(np.abs(c_ext @ f - want_ext)) < 1e-12
+
+
+def test_real_linear_writer_acts_on_interleaved_parts():
+    # rows of A^T for a non-square panel: 3 sources, 5 targets
+    rng = np.random.default_rng(5)
+    p, q, u = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+               for shape in [(3, 5), (3, 5), 3])
+    rows = np.empty((6, 10))
+    _write_real_linear(rows, p, q)
+    expected = p.T @ u + q.T @ np.conj(u)
+    assert np.allclose(rows.T @ u.view(float), expected.view(float), rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
