@@ -189,7 +189,7 @@ def sample(descriptor: CurveDescriptor, n: int) -> BoundaryCurve:
         raise ValueError("curve points or derivatives are not finite")
 
     speed = np.abs(dz)
-    if speed.min() <= 1e-12 * max(speed.max(), 1.0):
+    if speed.min() <= 1e-12 * speed.max():
         raise ValueError("parametrization speed vanishes; degenerate descriptor")
 
     area = 0.5 * (2.0 * math.pi / n) * float(np.imag(np.conj(z) @ dz))

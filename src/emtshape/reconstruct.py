@@ -222,19 +222,17 @@ def reconstruct_curve(est: ShapeEstimate, theta_samples: int) -> np.ndarray:
 
 
 def shape_error(samples: np.ndarray, truth: BoundaryCurve,
-                center: complex | None = None) -> ShapeError:
+                center: complex) -> ShapeError:
     """Symmetric discrete Hausdorff distance plus a radial L2 gap.
 
     The Hausdorff distance is the exact max-of-min of |samples_i - truth_j|
     (NaN if any distance is NaN), found without the full distance matrix
     by _hausdorff.  The radial metric treats both boundaries as radial
-    graphs about ``center`` (default: centroid of the samples) and compares
-    radii at the sample angles by periodic linear interpolation.
+    graphs about ``center`` and compares radii at the sample angles by
+    periodic linear interpolation.
     """
     samples = np.asarray(samples, dtype=complex)
     truth_z = truth.z
-    if center is None:
-        center = complex(samples.mean())
     rel_s = samples - center
     rel_t = truth_z - center
     ang_s = np.angle(rel_s)

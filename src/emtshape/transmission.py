@@ -33,13 +33,7 @@ import numpy as np
 from .geometry import BoundaryCurve
 from .materials import MaterialPair
 
-__all__ = [
-    "SolverError",
-    "evaluate_background",
-    "solve_densities",
-    "residual_norms",
-    "rigid_motion_residuals",
-]
+__all__ = ["SolverError", "evaluate_background", "solve_densities"]
 
 
 class SolverError(RuntimeError):
@@ -112,11 +106,11 @@ def _spectral_derivative(f: np.ndarray, ik: np.ndarray) -> np.ndarray:
 
 
 def _log_quadrature_row(n: int) -> np.ndarray:
-    # weights R_d with sum_l R_{(j-l) mod N} e^{ik tau_l} = -(2 pi/|k|) e^{ik theta_j}
-    d = np.arange(n)
-    m = np.arange(1, n // 2)
-    series = (np.cos(2.0 * math.pi * np.outer(d, m) / n) / m).sum(axis=1)
-    return -(4.0 * math.pi / n) * (series + np.where(d % 2 == 0, 1.0, -1.0) / n)
+    # weights R_d with sum_l R_{(j-l) mod N} e^{ik tau_l} = -(2 pi/|k|) e^{ik theta_j}:
+    # the inverse FFT of that symbol, 0 at k = 0, the Nyquist mode counted once
+    k = np.arange(n // 2 + 1, dtype=float)
+    k[0] = np.inf
+    return np.fft.irfft(-2.0 * math.pi / k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -284,31 +278,3 @@ def solve_densities(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
     densities = np.ascontiguousarray(x[: 4 * n].T).view(complex)
     return densities[:, :n], densities[:, n:]
 
-
-def rigid_motion_residuals(curve: BoundaryCurve, phi: np.ndarray) -> np.ndarray:
-    """The three discrete rigid-motion pairings of each row of phi, shape
-    (fields, 3) (all ~ 0 after a solve)."""
-    w = curve.weight
-    return np.stack([phi.real @ w, phi.imag @ w,
-                     np.real(1j * np.conj(curve.z) * phi) @ w], axis=-1)
-
-
-def residual_norms(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
-                   traction: np.ndarray, psi: np.ndarray,
-                   phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Relative weighted-l2 residuals of the two discretized equations, one
-    entry per field on axis 0 of the arrays."""
-    n = curve.n
-    x = np.concatenate([psi, phi], axis=1).view(float).T
-    b = _rhs(curve, h, traction)
-    # a density pair carries no rigid-motion slacks: their columns drop out
-    r = _assemble(curve, mat)[: 4 * n, : 4 * n] @ x - b
-    w2 = np.repeat(curve.weight, 2)  # rows hold Re and Im of each equation
-
-    def wnorm(v):
-        return np.sqrt(w2 @ v**2)
-
-    eps = np.finfo(float).tiny
-    trace, traction_rows = slice(0, 2 * n), slice(2 * n, 4 * n)
-    return (wnorm(r[trace]) / np.maximum(wnorm(b[trace]), eps),
-            wnorm(r[traction_rows]) / np.maximum(wnorm(b[traction_rows]), eps))

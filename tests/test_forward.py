@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emtshape import transmission
-from emtshape.geometry import Disk, Kite, sample
+from emtshape.geometry import Disk, Ellipse, Kite, Starfish, sample
 from emtshape.materials import LameConstants, MaterialPair
 from emtshape.transmission import (
     _assemble,
@@ -12,11 +12,10 @@ from emtshape.transmission import (
     _log_quadrature_row,
     _panel_pieces,
     _periodic_columns,
+    _rhs,
     _single_layer,
     _write_real_linear,
     evaluate_background,
-    residual_norms,
-    rigid_motion_residuals,
     solve_densities,
 )
 
@@ -53,6 +52,18 @@ def disk_densities(mat, gamma, n, curve, q):
 def apply_block(block, v):
     # the real block acts on v with Re and Im interleaved node by node
     return (block @ v.view(float)).view(complex)
+
+
+def residuals(curve, mat, h, traction, psi, phi):
+    # A x - b at the densities, one column per field: rows are the trace and
+    # traction residuals in the max norm relative to b, and the largest
+    # rigid-motion pairing of the constraint rows (b = 0 there).  A density
+    # pair carries no slacks, so their columns drop out.
+    n = curve.n
+    b = _rhs(curve, h, traction).reshape(2, 2 * n, -1)
+    r = _assemble(curve, mat)[:, : 4 * n] @ np.concatenate([psi, phi], axis=1).view(float).T
+    rel = np.abs(r[: 4 * n].reshape(2, 2 * n, -1) - b).max(axis=1) / np.abs(b).max(axis=1)
+    return np.vstack([rel, np.abs(r[4 * n :]).max(axis=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +227,8 @@ def test_exact_disk_densities_satisfy_equations(mat, n, q):
     phi, psi = disk_densities(mat, gamma, n, curve, q)
     h, traction = evaluate_background(curve, mat.background.mu, n, center)
     j = row(n, 1 if q == 1.0 else 2)
-    trace_res, traction_res = residual_norms(curve, mat, h[j : j + 1], traction[j : j + 1],
-                                             psi[None], phi[None])
-    assert trace_res[0] < 1e-10
-    assert traction_res[0] < 1e-10
+    assert np.all(residuals(curve, mat, h[j : j + 1], traction[j : j + 1],
+                            psi[None], phi[None]) < 1e-10)
 
 
 @pytest.mark.parametrize("mat", [SOFT, STIFF])
@@ -253,10 +262,7 @@ def test_kite_solution_residuals(t, n, mat):
         else:
             h, traction = holomorphic_background(curve, mat, t, n)
         psi, phi = solve_densities(curve, mat, h, traction)
-        trace_res, traction_res = residual_norms(curve, mat, h, traction, psi, phi)
-        assert trace_res[0] < 1e-10
-        assert traction_res[0] < 1e-10
-        assert np.max(np.abs(rigid_motion_residuals(curve, phi))) < 1e-10
+        assert np.all(residuals(curve, mat, h, traction, psi, phi) < 1e-10)
         # LAPACK factors in column-major order, so the LU copies the
         # system without a transpose
         assert _assemble(curve, mat).flags.f_contiguous
@@ -281,9 +287,6 @@ def test_batched_solve_matches_single():
         psi_j, phi_j = solve_densities(curve, SOFT, h[j : j + 1], traction[j : j + 1])
         assert np.allclose(phi[j], phi_j[0], atol=1e-13)
         assert np.allclose(psi[j], psi_j[0], atol=1e-13)
-    trace_res, traction_res = residual_norms(curve, SOFT, h, traction, psi, phi)
-    assert trace_res.shape == traction_res.shape == (4,)
-    assert rigid_motion_residuals(curve, phi).shape == (4, 3)
 
 
 def test_density_real_linearity():
@@ -299,3 +302,26 @@ def test_density_real_linearity():
     lhs = (apply_block(trace_block(curve, k.alpha_tilde, k.beta_tilde), weights @ psi)
            - apply_block(trace_block(curve, k.alpha, k.beta), weights @ phi))
     assert np.max(np.abs(lhs - weights @ h[rows])) < 1e-9
+
+
+@pytest.mark.parametrize("inclusion", [(0.6, 0.4), (1.8, 1.5), (30.0, 20.0)])
+@pytest.mark.parametrize("shape", [Ellipse(0.3 + 0.2j, 1.2, 0.8), Ellipse(0.0, 2.0, 0.5),
+                                   Kite(0.2, 0.3), Starfish(0.2, 0.125, 5)])
+def test_eshelby_polynomial_property(shape, inclusion):
+    # Eshelby: inside an ellipse, a background field of degree n induces a
+    # polynomial of degree n in z and conj(z), so the trace H + S[phi]| has no
+    # Fourier modes beyond n.  The other shapes are negative controls.
+    mat = MaterialPair(SOFT.background, LameConstants(*inclusion))
+    curve = sample(shape, 256)
+    h, traction = evaluate_background(curve, mat.background.mu, 6)
+    _, phi = solve_densities(curve, mat, h, traction)
+    k = mat.constants
+    p, q = _single_layer(*_panel_pieces(curve, 0, curve.n)[:2], curve.weight, k.alpha, k.beta)
+    u_hat = np.abs(np.fft.fft(h + phi @ p + np.conj(phi) @ q))
+    # row 2(n-1) + (t-1) of h has degree n
+    beyond = np.abs(np.fft.fftfreq(curve.n, 1.0 / curve.n)) > np.arange(len(h))[:, None] // 2 + 1
+    tail = np.where(beyond, u_hat, 0.0).max(axis=1) / u_hat.max(axis=1)
+    if isinstance(shape, Ellipse):
+        assert tail.max() <= 1e-10
+    else:
+        assert tail.min() > 1e-3

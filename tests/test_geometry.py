@@ -52,8 +52,16 @@ def test_self_intersecting_curve_rejected():
 
 
 def test_degenerate_speed_rejected():
-    with pytest.raises(ValueError, match="speed"):
-        sample(FourierCurve((1.0,), min_index=0), 16)
+    # a constant curve, and a cusp whose speed vanishes at the node theta = pi
+    for descriptor in (FourierCurve((1.0,), min_index=0), FourierCurve((0.0, 1.0, 0.5))):
+        with pytest.raises(ValueError, match="speed"):
+            sample(descriptor, 16)
+
+
+def test_tiny_curve_sampled_like_unit_curve():
+    # the speed test is relative, so a curve is accepted at any scale
+    tiny, unit = sample(Disk(0.0, 1e-13), 64), sample(Disk(0.0, 1.0), 64)
+    assert np.max(np.abs(tiny.z - 1e-13 * unit.z)) <= 1e-28
 
 
 def test_ellipse_perimeter_spectral_convergence():
