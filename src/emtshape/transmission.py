@@ -20,15 +20,20 @@ orthogonality constraints on phi.
 The system is filled in the Fortran order LAPACK factors in, one panel of
 source nodes at a time, so no N x N piece of it is ever held; the circulant
 columns and the derivative symbol depend on N alone and are built once per
-node count.
+node count.  The dgesv of the LAPACK numpy links factors it in place, its
+LU overwriting the system and the solutions the right-hand-side rows, so
+the system is held once per solve; np.linalg.solve, which copies it, runs
+only on builds where that symbol is not found.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .geometry import BoundaryCurve
 from .materials import MaterialPair
@@ -252,9 +257,65 @@ def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:
 
 
 def _rhs(curve: BoundaryCurve, h: np.ndarray, traction: np.ndarray) -> np.ndarray:
-    """The 4N equation rows of the right-hand side, one column per field."""
-    v = 0.5j * np.abs(curve.dz) * traction  # = mu * dG_H/dtheta
-    return np.concatenate([h, v], axis=1).view(float).T
+    """The right-hand sides as C-order rows of 4N+3, one per field, which is
+    B in the column-major order LAPACK solves in; the constraint entries
+    are zero."""
+    n = curve.n
+    b = np.zeros((len(h), 4 * n + 3))
+    rows = b[:, : 4 * n].view(complex)
+    rows[:, :n] = h
+    np.multiply(0.5j * np.abs(curve.dz), traction, out=rows[:, n:])  # = mu * dG_H/dtheta
+    return b
+
+
+@functools.cache
+def _lapack_dgesv():
+    """The dgesv of the LAPACK numpy.linalg calls, with its integer type, or
+    None where none of the names numpy's builds give it resolves (Windows,
+    Accelerate).  Looked up once per process; dlsym on the extension's
+    handle also searches the libraries it links."""
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    ilp64 = getattr(_umath_linalg, "_ilp64", False)
+    names = ("scipy_dgesv_64_", "dgesv_64_") if ilp64 else ("scipy_dgesv_", "dgesv_")
+    dgesv = next((f for f in (getattr(lib, name, None) for name in names)
+                  if f is not None), None)
+    if dgesv is None:
+        return None
+    integer = ctypes.c_int64 if ilp64 else ctypes.c_int32
+    ref = ctypes.POINTER(integer)
+    # n, nrhs, a, lda, ipiv, b, ldb, info
+    dgesv.argtypes = [ref, ref, ctypes.c_void_p, ref, ctypes.c_void_p, ctypes.c_void_p,
+                      ref, ref]
+    dgesv.restype = None
+    return dgesv, integer
+
+
+def _solve_in_place(a: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite the rows of b, the right-hand sides, with the solutions of
+    a x = b, and a, in Fortran order, with its LU factors."""
+    size = len(a)
+    if not (a.shape == (size, size) and b.ndim == 2 and b.shape[1] == size
+            and a.flags.f_contiguous and b.flags.c_contiguous
+            and a.dtype == b.dtype == np.float64):
+        raise ValueError("dgesv needs a Fortran-ordered square system and C-ordered rows")
+    lapack = _lapack_dgesv()
+    if lapack is None:
+        try:
+            b[...] = np.linalg.solve(a, b.T).T
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("transmission system singular") from exc
+        return
+    dgesv, integer = lapack
+    ipiv = np.empty(size, dtype=integer)
+    info = integer()
+    dgesv(integer(size), integer(len(b)), a.ctypes.data, integer(size), ipiv.ctypes.data,
+          b.ctypes.data, integer(size), info)
+    if info.value:
+        raise SolverError(f"transmission system singular: pivot {info.value} of {size} "
+                          "is exactly zero")
 
 
 def solve_densities(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
@@ -262,19 +323,9 @@ def solve_densities(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
     """Solve the transmission system for the fields whose values h and
     tractions stack on axis 0, shape (fields, N); the matrix is assembled
     and factorized a single time.  Returns the densities (psi, phi), each of
-    shape (fields, N)."""
+    shape (fields, N), views of the solved rows."""
     n = curve.n
-    a = _assemble(curve, mat)
-    b = np.zeros((4 * n + 3, len(h)))
-    b[: 4 * n] = _rhs(curve, h, traction)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("transmission system singular") from exc
-    # freed before the densities are allocated; otherwise they end up above
-    # it on the heap, and the caller that frees them pays for returning the
-    # system's pages to the OS (0.5-0.7 ms at N = 256)
-    del a
-    densities = np.ascontiguousarray(x[: 4 * n].T).view(complex)
+    b = _rhs(curve, h, traction)
+    _solve_in_place(_assemble(curve, mat), b)
+    densities = b[:, : 4 * n].view(complex)
     return densities[:, :n], densities[:, n:]
-

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emtshape import cli
+from emtshape import cli, transmission
 from emtshape.disk import disk_emt_table
 from emtshape.materials import LameConstants, MaterialPair
 
@@ -284,20 +284,23 @@ def test_non_finite_inversion_exits_1(tmp_path, make_table, materials):
 def test_singular_system_exits_1(tmp_path, monkeypatch, capsys):
     write_config(tmp_path / "config.json")
 
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def singular(curve, mat):
+        return np.zeros((4 * curve.n + 3,) * 2, order="F")
 
     def no_svd(*args, **kwargs):
         raise AssertionError("a singular system is reported without its condition number")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(transmission, "_assemble", singular)
     monkeypatch.setattr(np.linalg, "cond", no_svd)
     argv = ["forward", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: transmission system singular")
-    assert "Traceback" not in err
-    assert not (tmp_path / "out" / "emt_table.json").exists()
+    # numpy's LAPACK in place, then np.linalg.solve where no dgesv is found
+    for lookup in (transmission._lapack_dgesv, lambda: None):
+        monkeypatch.setattr(transmission, "_lapack_dgesv", lookup)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: transmission system singular")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "emt_table.json").exists()
 
 
 @pytest.mark.parametrize("command", ["forward", "roundtrip"])

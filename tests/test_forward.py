@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +64,7 @@ def residuals(curve, mat, h, traction, psi, phi):
     # rigid-motion pairing of the constraint rows (b = 0 there).  A density
     # pair carries no slacks, so their columns drop out.
     n = curve.n
-    b = _rhs(curve, h, traction).reshape(2, 2 * n, -1)
+    b = _rhs(curve, h, traction)[:, : 4 * n].T.reshape(2, 2 * n, -1)
     r = _assemble(curve, mat)[:, : 4 * n] @ np.concatenate([psi, phi], axis=1).view(float).T
     rel = np.abs(r[: 4 * n].reshape(2, 2 * n, -1) - b).max(axis=1) / np.abs(b).max(axis=1)
     return np.vstack([rel, np.abs(r[4 * n :]).max(axis=0)])
@@ -263,8 +267,8 @@ def test_kite_solution_residuals(t, n, mat):
             h, traction = holomorphic_background(curve, mat, t, n)
         psi, phi = solve_densities(curve, mat, h, traction)
         assert np.all(residuals(curve, mat, h, traction, psi, phi) < 1e-10)
-        # LAPACK factors in column-major order, so the LU copies the
-        # system without a transpose
+        # LAPACK factors in column-major order, so dgesv overwrites the
+        # system with its LU, no copy or transpose made
         assert _assemble(curve, mat).flags.f_contiguous
 
 
@@ -287,6 +291,67 @@ def test_batched_solve_matches_single():
         psi_j, phi_j = solve_densities(curve, SOFT, h[j : j + 1], traction[j : j + 1])
         assert np.allclose(phi[j], phi_j[0], atol=1e-13)
         assert np.allclose(psi[j], psi_j[0], atol=1e-13)
+
+
+def numpy_densities(curve, mat, h, traction):
+    # np.linalg.solve on the same system and right-hand sides, which copies both
+    n = curve.n
+    x = np.linalg.solve(_assemble(curve, mat), _rhs(curve, h, traction).T).T
+    densities = np.ascontiguousarray(x[:, : 4 * n]).view(complex)
+    return densities[:, :n], densities[:, n:]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="Linux numpy builds export dgesv")
+@pytest.mark.parametrize("nodes", [100, 128])
+def test_in_place_solve_matches_numpy(monkeypatch, nodes):
+    # the same dgesv on the same data gives the same bits, and the in-place
+    # path never reaches np.linalg.solve
+    def copying_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve copies the system")
+
+    curve = sample(KITE, nodes)
+    h, traction = evaluate_background(curve, STIFF.background.mu, 12)
+    expected = numpy_densities(curve, STIFF, h, traction)
+    monkeypatch.setattr(np.linalg, "solve", copying_solve)
+    for got, want in zip(solve_densities(curve, STIFF, h, traction), expected):
+        assert np.array_equal(got, want)
+
+
+def test_fallback_solve_matches_in_place(monkeypatch):
+    curve = sample(KITE, 128)
+    h, traction = evaluate_background(curve, STIFF.background.mu, 12)
+    expected = solve_densities(curve, STIFF, h, traction)
+    monkeypatch.setattr(transmission, "_lapack_dgesv", lambda: None)
+    for got, want in zip(solve_densities(curve, STIFF, h, traction), expected):
+        assert np.array_equal(got, want)
+
+
+SOLVE_PEAK = """
+import resource
+from emtshape.geometry import Kite, sample
+from emtshape.materials import LameConstants, MaterialPair
+from emtshape.transmission import evaluate_background, solve_densities
+
+curve = sample(Kite(0.6 + 0.8j, 0.65), 512)
+mat = MaterialPair(LameConstants(1.5, 1.2), LameConstants(1.8, 1.5))
+h, traction = evaluate_background(curve, mat.background.mu, 12)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+solve_densities(curve, mat, h, traction)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB and dgesv exported")
+def test_solve_holds_the_system_once():
+    # ru_maxrss is the process's high-water mark, so the solve runs alone in
+    # a fresh interpreter; a copy of the system for LAPACK would double it
+    size = 4 * 512 + 3
+    system_kib = size * size * 8 / 1024
+    src = str(Path(transmission.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", SOLVE_PEAK], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert int(result.stdout) < 1.5 * system_kib
 
 
 def test_density_real_linearity():
