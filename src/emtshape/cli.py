@@ -229,8 +229,8 @@ def _write_boundary_csv(path: Path, samples: np.ndarray) -> None:
 
 def _svg_path(points: np.ndarray) -> str:
     # SVG y axis points down; negate the imaginary part
-    coords = " ".join(f"{z.real:.6f},{-z.imag:.6f}" for z in points)
-    return coords
+    return " ".join(map("{:.6f},{:.6f}".format, points.real.tolist(),
+                        (-points.imag).tolist()))
 
 
 def _write_overlay_svg(path: Path, truth: np.ndarray, recon: np.ndarray) -> None:
@@ -383,6 +383,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"malformed JSON in {args.table}: {exc}") from exc
             except ValueError as exc:
                 raise ConfigError(f"invalid table {args.table}: {exc}") from exc
+            if table.order < 2:
+                raise ConfigError(f"table {args.table} has order {table.order}; "
+                                  "reconstruction needs order >= 2 (the disk fit uses "
+                                  "the order-2 entries)")
             cmd_reconstruct(config, table, _sample_shape(config.shape, THETA_SAMPLES))
         else:
             cmd_roundtrip(config)

@@ -18,12 +18,15 @@ rigid-motion slacks attached to the traction rows, the extra three rows the
 orthogonality constraints on phi.
 
 The system is filled in the Fortran order LAPACK factors in, one panel of
-source nodes at a time, so no N x N piece of it is ever held; the circulant
-columns and the derivative symbol depend on N alone and are built once per
-node count.  The dgesv of the LAPACK numpy links factors it in place, its
-LU overwriting the system and the solutions the right-hand-side rows, so
-the system is held once per solve; np.linalg.solve, which copies it, runs
-only on builds where that symbol is not found.
+source nodes at a time, so no N x N piece of it is ever held: a panel has a
+fixed number of entries, so fewer sources as N grows, and every panel's
+pieces live in one workspace of fixed size, written into the system as soon
+as they exist.  The circulant columns and the derivative symbol depend on N
+alone and are built once per node count.  The dgesv of the LAPACK numpy
+links factors the system in place, its LU overwriting the system and the
+solutions the right-hand-side rows, so the system is held once per solve;
+np.linalg.solve, which copies it, runs only on builds where that symbol is
+not found.
 """
 
 from __future__ import annotations
@@ -120,16 +123,29 @@ def _log_quadrature_row(n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # assembly.  Every operator below is real-linear, u -> P u + Q conj(u), with
-# P and Q material scalars times the curve-only pieces of _panel_pieces, so
-# the materials only scale them.  Unknowns and equations interleave the real
-# and imaginary parts node by node: the unknowns are (Re psi_0, Im psi_0,
-# Re psi_1, ..., Re phi_0, Im phi_0, ..., three slacks), the equations (trace,
-# traction, three constraints) in the same way.  A^T is filled in C order,
-# which is A in the Fortran order LAPACK factors in: the pieces of one panel
-# of source nodes l give the rows of A^T that hold psi_l and phi_l.
+# P and Q material scalars times the curve-only pieces of _single_layer_pieces
+# and _cauchy_pieces, so the materials only scale them.  Unknowns and
+# equations interleave the real and imaginary parts node by node: the unknowns
+# are (Re psi_0, Im psi_0, Re psi_1, ..., Re phi_0, Im phi_0, ..., three
+# slacks), the equations (trace, traction, three constraints) in the same way.
+# A^T is filled in C order, which is A in the Fortran order LAPACK factors in:
+# the pieces of one panel of source nodes l give the rows of A^T that hold
+# psi_l and phi_l.
 
-# source nodes per panel; 16, 32 and 128 assemble no faster at N = 256 and 512
-_PANEL = 64
+# a panel holds at most _PANEL_ENTRIES target-by-source entries, 128, 64, 32
+# and 16 sources at N = 128 to 1024, and its pieces and products live in one
+# workspace of _WORK such panels that every panel reuses, so the scratch
+# beside the system is 1 MiB, and one more panel for the spectral derivative,
+# at any N.  Half the entries assemble 8-15% slower at N = 128 to 1024; twice
+# as many save 1% up to N = 512 and 9% at 1024, for 1.4 MiB more at N = 512.
+_PANEL_ENTRIES = 16384
+_WORK = 4
+
+
+def _real_half(buf: np.ndarray) -> np.ndarray:
+    """A C-ordered real array of buf's shape on the first half of the memory
+    of the C-ordered complex buffer buf."""
+    return buf.view(float).reshape(-1)[: buf.size].reshape(buf.shape)
 
 
 def _write_real_linear(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
@@ -137,83 +153,141 @@ def _write_real_linear(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     Im u_l of the panel's sources, over the 2N equations (Re, Im) of the
     targets.  p and q are P^T and Q^T, entry [l - lo, j].  Since
     P u + Q conj(u) = (P + Q) Re u + i (P - Q) Im u, those rows are
-    P + Q and i (P - Q) with each complex entry viewed as its (Re, Im) pair."""
-    rows[0::2] = (p + q).view(float)
-    rows[1::2] = (1j * (p - q)).view(float)
+    P + Q and i (P - Q) with each complex entry viewed as its (Re, Im) pair,
+    computed straight into them; q is overwritten with P - Q."""
+    np.add(p, q, out=rows[0::2].view(complex))
+    np.multiply(1j, np.subtract(p, q, out=q), out=rows[1::2].view(complex))
 
 
-def _single_layer(log: np.ndarray, kern: np.ndarray, w: np.ndarray,
-                  alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """P^T and Q^T of the single-layer trace S[u]|; w is the weight at the
-    panel's sources.  P = alpha log + c 1 w^T is real, Q = c kern, with
-    c = -beta / 4 pi."""
+def _single_layer(log: np.ndarray, kern: np.ndarray, w: np.ndarray, alpha: float,
+                  beta: float, p: np.ndarray | None = None,
+                  q: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """P^T and Q^T of the single-layer trace S[u]|, in p (real) and q where
+    given; w is the weight at the panel's sources.  P = alpha log + c 1 w^T
+    is real, Q = c kern, with c = -beta / 4 pi."""
     c = -beta / (4.0 * math.pi)
-    return alpha * log + (c * w)[:, None], c * kern
+    p = np.multiply(alpha, log, out=p)
+    p += (c * w)[:, None]
+    return p, np.multiply(c, kern, out=q)
 
 
-def _traction(a: np.ndarray, q: np.ndarray, alpha: float,
-              beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """P^T and Q^T of dG/dtheta of the single layer, where traction * dsigma
-    = -2 i mu (dG/dtheta) dtheta: P = (beta/2) A - (alpha/2) conj(A) and
-    Q = (beta/2) q."""
-    return 0.5 * beta * a - 0.5 * alpha * np.conj(a), 0.5 * beta * q
+def _traction(a: np.ndarray, q: np.ndarray, alpha: float, beta: float, p_out: np.ndarray,
+              q_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P^T and Q^T of dG/dtheta of the single layer, in p_out and q_out, where
+    traction * dsigma = -2 i mu (dG/dtheta) dtheta: P = (beta/2) A -
+    (alpha/2) conj(A) and Q = (beta/2) q."""
+    p = np.multiply(0.5 * beta, a, out=p_out)
+    conj = np.conj(a, out=q_out)
+    p -= np.multiply(0.5 * alpha, conj, out=conj)
+    return p, np.multiply(0.5 * beta, q, out=conj)
 
 
-def _panel_pieces(curve: BoundaryCurve, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """The curve-only pieces of the system for the source nodes l = lo..hi-1,
-    each a (hi - lo) x N array over the target nodes j, entry [l - lo, j]:
+def _single_layer_pieces(curve: BoundaryCurve, lo: int, hi: int,
+                         work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The curve-only pieces of the single-layer trace for the source nodes
+    l = lo..hi-1, each a (hi - lo) x N array over the target nodes j, entry
+    [l - lo, j], held in buffers 1 and 2 of work (buffer 0 holds diff):
 
     log    single-layer log kernel with its product quadrature weights
     kern   (diff / conj(diff)) w, with diff = z_j - z_l
-    a      A = diag(dz) C_ext, C_ext the exterior boundary values of the Cauchy
-           integral C[g](z) = (1/2pi) int g/(z-zeta) dsigma; the interior
-           A_int = A - i diag(|dz|) differs on the diagonal only
-    q_ext, q_int  diag(dz) conj(C) + diff * (D conj(C)) for each side, with D
-           the spectral derivative
     """
     n, z, dz, w = curve.n, curve.z, curve.dz, curve.weight
-    ik, log_col, cauchy_col, deriv_col = _periodic_columns(n)
+    log_col = _periodic_columns(n)[1]
     speed = np.abs(dz)
     src = slice(lo, hi)
     diag = (np.arange(hi - lo), np.arange(lo, hi))
-    diff = z[None, :] - z[src, None]
+    diff = np.subtract(z[None, :], z[src, None], out=work[0])
 
     # log|diff| = log(2 |sin((theta_j - theta_l)/2)|) + smooth, with the
     # smooth part's diagonal limit log|dz_j|
-    log = np.abs(diff)
+    log = np.abs(diff, out=_real_half(work[1]))
     log[diag] = speed[src]
     np.log(log, out=log)
     log *= 2.0 * math.pi / n
     log += _circulant_rows(log_col, lo, hi)
     log *= (speed / (2.0 * math.pi))[src, None]
 
-    with np.errstate(divide="ignore", invalid="ignore"):  # diagonals set below
-        kern = diff / np.conj(diff)
-        c = (dz / n)[src, None] / diff
+    kern = np.conj(diff, out=work[2])
+    with np.errstate(divide="ignore", invalid="ignore"):  # diagonal set below
+        np.divide(diff, kern, out=kern)
     kern[diag] = (dz / np.conj(dz))[src]
     kern *= w[src, None]
+    return log, kern
+
+
+def _cauchy_pieces(curve: BoundaryCurve, lo: int, hi: int, work: np.ndarray):
+    """The curve-only pieces of the traction operators for the source nodes
+    l = lo..hi-1, as (hi - lo) x N arrays (a, q) with entry [l - lo, j], a
+    held in buffer 2 of work and q in the array the inverse FFT returns
+    (buffer 0 holds diff, buffer 1 C and then D diag(v) diff): first the
+    exterior side's, then the interior side's built in place on the same two
+    arrays, so each must be used before the next is drawn.
+
+    a   A = diag(dz) C_ext, C_ext the exterior boundary values of the Cauchy
+        integral C[g](z) = (1/2pi) int g/(z-zeta) dsigma; the interior
+        A_int = A - i diag(|dz|) differs on the diagonal only
+    q   diag(dz) conj(C) + diff * (D conj(C)) for each side, with D the
+        spectral derivative and diff = z_j - z_l
+    """
+    n, z, dz = curve.n, curve.z, curve.dz
+    ik, _, cauchy_col, deriv_col = _periodic_columns(n)
+    speed = np.abs(dz)
+    src = slice(lo, hi)
+    diag = (np.arange(hi - lo), np.arange(lo, hi))
+    diff = np.subtract(z[None, :], z[src, None], out=work[0])
 
     # C_ext = -i (-I/2 + pv) diag(|dz|/dz) with the principal value
     # pv = -(i/2) H - (i/N) ks: H is the periodic conjugation matrix and
     # ks = -dz_l/(z_j - z_l) - (1/2) cot((theta_l - theta_j)/2) the smooth
     # remainder of the Cauchy kernel, with diagonal limit z''/(2 z')
+    with np.errstate(divide="ignore", invalid="ignore"):  # diagonal set below
+        c = np.divide((dz / n)[src, None], diff, out=work[1])
     c[diag] = (0.5j - _spectral_derivative(dz, ik) / (2.0 * n * dz))[src]
     c += _circulant_rows(cauchy_col, lo, hi)
     c *= (speed / dz)[src, None]
-    a = dz * c
+    a = np.multiply(dz, c, out=work[2])
 
     np.conj(c, out=c)
-    q_ext = _spectral_derivative(c, ik)
-    q_ext *= diff
-    q_ext += dz * c
+    q = _spectral_derivative(c, ik)
+    q *= diff
+    q += np.multiply(dz, c, out=c)
     # conj(C_int) = conj(C_ext) + diag(v), and D diag(v) is the circulant
     # derivative matrix with scaled columns; it reuses the buffer of c
     v = 1j * speed / np.conj(dz)
     dv = np.multiply(_circulant_rows(deriv_col, lo, hi), v[src, None], out=c)
     dv *= diff
-    q_int = q_ext + dv
-    q_int[diag] += (dz * v)[src]
-    return log, kern, a, q_ext, q_int
+    yield a, q
+
+    a[diag] -= 1j * speed[src]
+    q += dv
+    q[diag] += (dz * v)[src]
+    yield a, q
+
+
+def _write_panel(at: np.ndarray, curve: BoundaryCurve, mat: MaterialPair,
+                 lo: int, hi: int, work: np.ndarray) -> None:
+    """Write the rows of A^T that hold psi_l and phi_l for the source nodes
+    l = lo..hi-1.  work holds the _WORK complex (hi - lo) x N buffers that
+    every panel reuses: buffer 0 holds z_j - z_l while the pieces form and
+    the material-scaled Q while they are written, 1 and 2 the pieces, 3 the
+    material-scaled P."""
+    n, w = curve.n, curve.weight[lo:hi]
+    k = mat.constants
+    mu, mu_t = mat.background.mu, mat.inclusion.mu
+    trace, traction = slice(0, 2 * n), slice(2 * n, 4 * n)
+    psi, phi = at[2 * lo : 2 * hi], at[2 * (n + lo) : 2 * (n + hi)]
+
+    log, kern = _single_layer_pieces(curve, lo, hi, work)
+    for rows, alpha, beta in ((psi, k.alpha_tilde, k.beta_tilde), (phi, -k.alpha, -k.beta)):
+        p, q = _single_layer(log, kern, w, alpha, beta, _real_half(work[3]), work[0])
+        _write_real_linear(rows[:, trace], p, q)
+
+    # phi sees the exterior side of the Cauchy pieces, psi the interior
+    sides = ((phi, -mu * k.alpha, -mu * k.beta),
+             (psi, mu_t * k.alpha_tilde, mu_t * k.beta_tilde))
+    for (rows, alpha, beta), (a, q_side) in zip(sides, _cauchy_pieces(curve, lo, hi, work)):
+        p, q = _traction(a, q_side, alpha, beta, work[3], work[0])
+        _write_real_linear(rows[:, traction], p, q)
 
 
 def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:
@@ -221,34 +295,21 @@ def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:
     factors in: it is filled as A^T in C order, one panel of sources at a
     time, so no N x N piece is held."""
     n, z, w = curve.n, curve.z, curve.weight
-    k = mat.constants
-    mu, mu_t = mat.background.mu, mat.inclusion.mu
-    speed = np.abs(curve.dz)
 
     # row r of at is the column of unknown r; its columns are the equations
     at = np.zeros((4 * n + 3, 4 * n + 3))
-    trace, traction = slice(0, 2 * n), slice(2 * n, 4 * n)
-    for lo in range(0, n, _PANEL):
-        hi = min(lo + _PANEL, n)
-        src = slice(lo, hi)
-        log, kern, a, q_ext, q_int = _panel_pieces(curve, lo, hi)
-        psi, phi = at[2 * lo : 2 * hi], at[2 * (n + lo) : 2 * (n + hi)]
-        _write_real_linear(psi[:, trace], *_single_layer(log, kern, w[src],
-                                                         k.alpha_tilde, k.beta_tilde))
-        _write_real_linear(phi[:, trace], *_single_layer(log, kern, w[src],
-                                                         -k.alpha, -k.beta))
-        _write_real_linear(phi[:, traction], *_traction(a, q_ext, -mu * k.alpha,
-                                                        -mu * k.beta))
-        a[np.arange(hi - lo), np.arange(lo, hi)] -= 1j * speed[src]  # A_int
-        _write_real_linear(psi[:, traction], *_traction(a, q_int, mu_t * k.alpha_tilde,
-                                                        mu_t * k.beta_tilde))
+    height = min(n, max(1, _PANEL_ENTRIES // n))
+    work = np.empty((_WORK, height, n), dtype=complex)
+    for lo in range(0, n, height):
+        hi = min(lo + height, n)
+        _write_panel(at, curve, mat, lo, hi, work[:, : hi - lo])
 
     # slack columns on the traction rows: the constants 1 and i and the
     # dilation field z.  The rows are written in dG/dtheta variables, so
     # their exact left null space is spanned by Re/Im of the periodicity sum
     # and by Re sum(conj(z) * row); the rotation i*z pairs to zero against
     # the last and cannot close the rank, while z pairs to sum(|z|^2) > 0.
-    at[4 * n :, traction] = np.array([np.ones(n), np.full(n, 1j), z]).view(float)
+    at[4 * n :, 2 * n : 4 * n] = np.array([np.ones(n), np.full(n, 1j), z]).view(float)
 
     # discrete orthogonality of phi to the rigid motions m = 1, i and -i z:
     # the column of m holds w (Re m, Im m), the pairing sum w Re(conj(m) phi)
@@ -325,7 +386,8 @@ def solve_densities(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
     and factorized a single time.  Returns the densities (psi, phi), each of
     shape (fields, N), views of the solved rows."""
     n = curve.n
-    b = _rhs(curve, h, traction)
-    _solve_in_place(_assemble(curve, mat), b)
+    a = _assemble(curve, mat)
+    b = _rhs(curve, h, traction)  # after the assembly, so not held beside its scratch
+    _solve_in_place(a, b)
     densities = b[:, : 4 * n].view(complex)
     return densities[:, :n], densities[:, n:]

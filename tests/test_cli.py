@@ -80,6 +80,21 @@ def test_roundtrip_outputs(tmp_path):
     assert svg.count("<polygon") == 2
 
 
+def test_overlay_svg_bytes(tmp_path):
+    # y is negated for SVG, so -0.0 prints with its sign
+    truth = np.array([1.0, 1j, -1.0, -1j])
+    recon = np.array([0.5 + 0.25j, -1 / 3 + 0.25j, -0.5 + 2j / 3, 0.5 - 0.25j])
+    cli._write_overlay_svg(tmp_path / "overlay.svg", truth, recon)
+    assert (tmp_path / "overlay.svg").read_bytes() == (
+        b'<svg xmlns="http://www.w3.org/2000/svg" '
+        b'viewBox="-1.100000 -1.100000 2.200000 2.200000">\n'
+        b'  <polygon points="1.000000,-0.000000 0.000000,-1.000000 -1.000000,-0.000000 '
+        b'-0.000000,1.000000" fill="none" stroke="#999999" stroke-width="0.016000"/>\n'
+        b'  <polygon points="0.500000,-0.250000 -0.333333,-0.250000 -0.500000,-0.666667 '
+        b'0.500000,0.250000" fill="none" stroke="#000000" stroke-width="0.016000"/>\n'
+        b"</svg>\n")
+
+
 def test_roundtrip_deterministic(tmp_path):
     write_config(tmp_path / "config.json", noise={"sigma2": 0.02, "seed": 11})
     assert run_cli("roundtrip", "config.json", cwd=tmp_path).returncode == 0
@@ -201,6 +216,17 @@ def test_config_contract(tmp_path, command, overrides, code):
     assert "Traceback" not in result.stderr
     if code:
         assert not (tmp_path / "out").exists()
+
+
+def test_order_1_table_exits_2(tmp_path):
+    # the disk fit needs the order-2 entries, whatever order the config asks for
+    write_config(tmp_path / "config.json", order=6)
+    (tmp_path / "table.json").write_text(json.dumps(table_doc(1, unit_diagonal)))
+    result = run_cli("reconstruct", "config.json", "table.json", cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "configuration error: table table.json has order 1" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_without_variance_exits_2(tmp_path):

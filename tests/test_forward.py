@@ -11,13 +11,15 @@ from emtshape import transmission
 from emtshape.geometry import Disk, Ellipse, Kite, Starfish, sample
 from emtshape.materials import LameConstants, MaterialPair
 from emtshape.transmission import (
+    _WORK,
     _assemble,
+    _cauchy_pieces,
     _circulant_rows,
     _log_quadrature_row,
-    _panel_pieces,
     _periodic_columns,
     _rhs,
     _single_layer,
+    _single_layer_pieces,
     _write_real_linear,
     evaluate_background,
     solve_densities,
@@ -29,11 +31,16 @@ STIFF = MaterialPair(LameConstants(1.5, 1.2), LameConstants(1.8, 1.5))
 KITE = Kite(0.6 + 0.8j, 0.65)
 
 
+def panel_work(curve):
+    # the workspace of one panel over every node
+    return np.empty((_WORK, curve.n, curve.n), dtype=complex)
+
+
 def trace_block(curve, alpha, beta):
     # the real block of S[phi]|, from the pieces of one panel over every node;
     # _write_real_linear writes the rows of its transpose
     n = curve.n
-    log, kern, *_ = _panel_pieces(curve, 0, n)
+    log, kern = _single_layer_pieces(curve, 0, n, panel_work(curve))
     rows = np.empty((2 * n, 2 * n))
     _write_real_linear(rows, *_single_layer(log, kern, curve.weight, alpha, beta))
     return rows.T
@@ -132,8 +139,9 @@ def test_cauchy_boundary_values_circle(k):
     # interior value of C[e^{ik tau}]: -e^{i(k-1)theta} for k >= 1, else 0;
     # exterior value: +e^{i(k-1)theta} for k <= 0, else 0
     curve = sample(Disk(0.0, 1.0), 32)
-    a_ext = _panel_pieces(curve, 0, curve.n)[2].T
-    a_int = a_ext - 1j * np.diag(np.abs(curve.dz))  # the diagonal _assemble subtracts
+    pieces = _cauchy_pieces(curve, 0, curve.n, panel_work(curve))
+    a_ext = next(pieces)[0].T.copy()  # the interior side is built on its buffer
+    a_int = next(pieces)[0].T
     c_int, c_ext = a_int / curve.dz[:, None], a_ext / curve.dz[:, None]
     theta = nodes(32)
     f = np.exp(1j * k * theta)
@@ -150,8 +158,8 @@ def test_real_linear_writer_acts_on_interleaved_parts():
     p, q, u = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
                for shape in [(3, 5), (3, 5), 3])
     rows = np.empty((6, 10))
-    _write_real_linear(rows, p, q)
     expected = p.T @ u + q.T @ np.conj(u)
+    _write_real_linear(rows, p, q)
     assert np.allclose(rows.T @ u.view(float), expected.view(float), rtol=0.0, atol=1e-14)
 
 
@@ -272,13 +280,14 @@ def test_kite_solution_residuals(t, n, mat):
         assert _assemble(curve, mat).flags.f_contiguous
 
 
-@pytest.mark.parametrize("nodes", [16, 100])
+@pytest.mark.parametrize("nodes", [16, 100, 256])
 def test_panel_partition_leaves_the_system_unchanged(monkeypatch, nodes):
-    # every entry takes the same operations whichever panel its source is in
+    # every entry takes the same operations whichever panel its source is in;
+    # the panel height is the entry budget over N: one panel up to 128 nodes
     curve = sample(KITE, nodes)
     system = _assemble(curve, STIFF)
     for panel in (1, 7, nodes):
-        monkeypatch.setattr(transmission, "_PANEL", panel)
+        monkeypatch.setattr(transmission, "_PANEL_ENTRIES", panel * nodes)
         assert np.array_equal(_assemble(curve, STIFF), system)
 
 
@@ -328,30 +337,49 @@ def test_fallback_solve_matches_in_place(monkeypatch):
 
 SOLVE_PEAK = """
 import resource
+from emtshape import transmission
 from emtshape.geometry import Kite, sample
 from emtshape.materials import LameConstants, MaterialPair
 from emtshape.transmission import evaluate_background, solve_densities
 
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+def assemble(curve, mat, assemble=transmission._assemble):
+    system = assemble(curve, mat)
+    rises.append(peak() - before)
+    return system
+
+
 curve = sample(Kite(0.6 + 0.8j, 0.65), 512)
 mat = MaterialPair(LameConstants(1.5, 1.2), LameConstants(1.8, 1.5))
 h, traction = evaluate_background(curve, mat.background.mu, 12)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+transmission._assemble = assemble
+rises = []
+before = peak()
 solve_densities(curve, mat, h, traction)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(rises[0], peak() - before)
 """
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB and dgesv exported")
 def test_solve_holds_the_system_once():
     # ru_maxrss is the process's high-water mark, so the solve runs alone in
-    # a fresh interpreter; a copy of the system for LAPACK would double it
+    # a fresh interpreter.  The assembly holds the system and a workspace of
+    # a fixed size, 1 MiB; its rise is bounded on its own, since the LU's
+    # first call also faults in the BLAS buffers (about 8 MiB, by thread
+    # count and CPU).  A copy of the system for LAPACK would double the rise.
     size = 4 * 512 + 3
     system_kib = size * size * 8 / 1024
     src = str(Path(transmission.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, "-c", SOLVE_PEAK], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert int(result.stdout) < 1.5 * system_kib
+    assembled, solved = map(int, result.stdout.split())
+    assert assembled < system_kib + 4096
+    assert solved < 1.5 * system_kib
 
 
 def test_density_real_linearity():
@@ -381,7 +409,8 @@ def test_eshelby_polynomial_property(shape, inclusion):
     h, traction = evaluate_background(curve, mat.background.mu, 6)
     _, phi = solve_densities(curve, mat, h, traction)
     k = mat.constants
-    p, q = _single_layer(*_panel_pieces(curve, 0, curve.n)[:2], curve.weight, k.alpha, k.beta)
+    p, q = _single_layer(*_single_layer_pieces(curve, 0, curve.n, panel_work(curve)),
+                         curve.weight, k.alpha, k.beta)
     u_hat = np.abs(np.fft.fft(h + phi @ p + np.conj(phi) @ q))
     # row 2(n-1) + (t-1) of h has degree n
     beyond = np.abs(np.fft.fftfreq(curve.n, 1.0 / curve.n)) > np.arange(len(h))[:, None] // 2 + 1
