@@ -17,14 +17,19 @@ A run is configured by a single JSON document
 with ``nodes`` (default NODES) and ``noise`` optional and no other keys;
 ``order`` must stay below ``nodes``/2, the highest mode the quadrature
 resolves.  The flags ``--order``, ``--nodes``, ``--noise-var``, ``--seed``
-and ``--out`` override the corresponding fields.  ``reconstruct`` rejects
+and ``--out`` override the corresponding fields, which are still read and
+must be valid.  ``--noise-var`` and ``--seed`` replace the fields of the
+noise block; ``--noise-var`` without a block draws with seed 0, and
+``--seed`` needs a variance.  The noise block has the format of a noisy
+table's provenance, and ``emt`` reads both.  ``reconstruct`` rejects
 ``--noise-var`` and ``--seed``, since its table document records its own
 noise; it still accepts a config's ``noise`` block, because forward and
 reconstruct share config files.  The recovered and the true boundary are
 compared at THETA_SAMPLES parameters.  Exit codes: 0 success,
-1 numerical failure, 2 configuration error (an output directory that cannot
-be created or an output file that cannot be written is one).  Outputs carry
-no timestamps, so identical configurations produce byte-identical files.
+1 numerical failure (a table, exact or noisy, that is not finite is one),
+2 configuration error (an output directory that cannot be created or an
+output file that cannot be written is one).  Outputs carry no timestamps,
+so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ from .disk import disk_emt_table
 from .emt import (
     EmtTable,
     NoiseModel,
-    _provenance_to_json,
     apply_noise,
     emt_table,
+    noise_from_json,
+    provenance_to_json,
     table_from_json,
     table_to_json,
 )
@@ -115,16 +121,28 @@ def _lame_from_json(data: dict, label: str) -> LameConstants:
         raise ConfigError(f"bad {label} material: {exc}") from exc
 
 
+def _read_json(path: str | Path, what: str):
+    """The one reader of the config and table documents; ``what`` names the
+    document in the message of a file that cannot be read."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # a decode error, of the JSON or of its bytes, or nesting too deep to parse
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+
+
 def load_config(path: str | Path, *, order: int | None = None,
                 nodes: int | None = None, noise_var: float | None = None,
                 seed: int | None = None, out: str | None = None) -> RunConfig:
-    """Parse a config file and apply the command-line overrides."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    """Parse a config file and apply the command-line overrides.
+
+    Every field of the document is read, also where a flag replaces it.
+    --noise-var and --seed replace the fields of the noise block; --noise-var
+    alone, with no block, draws with seed 0.
+    """
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = sorted(set(raw) - _CONFIG_KEYS)
@@ -137,41 +155,26 @@ def load_config(path: str | Path, *, order: int | None = None,
         )
         shape = descriptor_from_json(raw["shape"])
         cfg_order = json_number(raw["order"], integer=True)
-        cfg_out = raw["outputDir"]
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
-
-    noise = None
-    if raw.get("noise") is not None:
-        try:
-            noise = NoiseModel(json_number(raw["noise"]["sigma2"]),
-                               json_number(raw["noise"]["seed"], integer=True))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid noise block: {exc}") from exc
-    if seed is not None and noise_var is None and noise is None:
-        raise ConfigError("--seed given but no noise variance is configured")
-    try:
-        if noise_var is not None:
-            noise = NoiseModel(noise_var, seed if seed is not None
-                               else (noise.seed if noise is not None else 0))
-        elif seed is not None:
-            noise = NoiseModel(noise.sigma2, seed)
-    except ValueError as exc:
-        raise ConfigError(f"invalid noise override: {exc}") from exc
-
-    try:
+        cfg_nodes = json_number(raw.get("nodes", NODES), integer=True)
+        cfg_out = Path(raw["outputDir"])
+        noise = None if raw.get("noise") is None else noise_from_json(raw["noise"])
+        if noise_var is not None or seed is not None:
+            if noise is None and noise_var is None:
+                raise ConfigError("--seed given but no noise variance is configured")
+            base = noise or NoiseModel(0.0, 0)
+            noise = NoiseModel(base.sigma2 if noise_var is None else noise_var,
+                               base.seed if seed is None else seed)
         return RunConfig(
             materials=materials,
             shape=shape,
-            order=order if order is not None else cfg_order,
-            output_dir=Path(out if out is not None else cfg_out),
-            nodes=(nodes if nodes is not None
-                   else json_number(raw.get("nodes", NODES), integer=True)),
+            order=cfg_order if order is None else order,
+            output_dir=cfg_out if out is None else Path(out),
+            nodes=cfg_nodes if nodes is None else nodes,
             noise=noise,
         )
-    except (TypeError, ValueError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -197,18 +200,10 @@ def _check_output_dir(config: RunConfig) -> None:
                       f"{existing} is not a directory")
 
 
-def _output_dir(config: RunConfig) -> Path:
-    try:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {config.output_dir}: "
-                          f"{exc}") from exc
-    return config.output_dir
-
-
 def _write_text(path: Path, text: str) -> None:
-    """The one writer of every output file."""
+    """The one writer of every output file; it makes the file's directory."""
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
@@ -259,7 +254,7 @@ def cmd_forward(config: RunConfig) -> EmtTable:
     table = emt_table(curve, config.materials, config.order)
     if config.noise is not None:
         table = apply_noise(table, config.noise)
-    _write_json(_output_dir(config) / "emt_table.json", table_to_json(table))
+    _write_json(config.output_dir / "emt_table.json", table_to_json(table))
     return table
 
 
@@ -273,7 +268,7 @@ def cmd_reconstruct(config: RunConfig, table: EmtTable,
     order = min(config.order, table.order)
     estimate = reconstruct(table, config.materials, order)
     samples = reconstruct_curve(estimate, THETA_SAMPLES)
-    out = _output_dir(config)
+    out = config.output_dir
     _write_json(out / "shape_estimate.json", shape_estimate_to_json(estimate))
     _write_boundary_csv(out / "boundary.csv", samples)
     _write_overlay_svg(out / "overlay.svg", truth.z, samples)
@@ -291,7 +286,7 @@ def cmd_roundtrip(config: RunConfig) -> dict:
         "shape": descriptor_to_json(config.shape),
         "order": min(config.order, table.order),
         "nodes": config.nodes,
-        "noise": _provenance_to_json(table.provenance),
+        "noise": provenance_to_json(table.provenance),
         "estimate": shape_estimate_to_json(estimate),
         "error": {"hausdorff": err.hausdorff, "radialL2": err.radial_l2},
     }
@@ -375,12 +370,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "forward":
             cmd_forward(config)
         elif args.command == "reconstruct":
+            document = _read_json(args.table, "table")
             try:
-                table = table_from_json(json.loads(Path(args.table).read_text()))
-            except OSError as exc:
-                raise ConfigError(f"cannot read table {args.table}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"malformed JSON in {args.table}: {exc}") from exc
+                table = table_from_json(document)
             except ValueError as exc:
                 raise ConfigError(f"invalid table {args.table}: {exc}") from exc
             if table.order < 2:

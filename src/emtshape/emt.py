@@ -24,6 +24,8 @@ __all__ = [
     "NoiseModel",
     "emt_table",
     "apply_noise",
+    "noise_from_json",
+    "provenance_to_json",
     "table_to_json",
     "table_from_json",
 ]
@@ -96,15 +98,26 @@ def apply_noise(table: EmtTable, noise: NoiseModel) -> EmtTable:
 
     Draws come from ``default_rng(seed)`` as a single normal block of shape
     (order, order, 2, 2), i.e. in C order: n outermost, then m, t, s.
+    Raises SolverError when a noisy entry is not finite.
     """
     if table.provenance is not None:
         raise ValueError("table already carries noise; apply_noise needs an exact table")
     rng = np.random.default_rng(noise.seed)
     factors = 1.0 + rng.normal(0.0, math.sqrt(noise.sigma2), size=table.values.shape)
-    return EmtTable(table.order, table.values * factors, noise)
+    with np.errstate(over="ignore"):  # a large table times a large factor
+        values = table.values * factors
+    if not np.all(np.isfinite(values)):
+        raise SolverError(f"noisy order-{table.order} EMT table is not finite")
+    return EmtTable(table.order, values, noise)
 
 
-def _provenance_to_json(noise: NoiseModel | None) -> dict:
+def noise_from_json(block) -> NoiseModel:
+    """The {"sigma2", "seed"} noise block of a config or of a noisy table's
+    provenance; raises KeyError, TypeError or ValueError when it is malformed."""
+    return NoiseModel(json_number(block["sigma2"]), json_number(block["seed"], integer=True))
+
+
+def provenance_to_json(noise: NoiseModel | None) -> dict:
     """The "provenance" block of a table document."""
     if noise is None:
         return {"kind": "exact"}
@@ -120,7 +133,7 @@ def table_to_json(table: EmtTable) -> dict:
         for t in (1, 2)
         for s in (1, 2)
     ]
-    return {"order": table.order, "provenance": _provenance_to_json(table.provenance),
+    return {"order": table.order, "provenance": provenance_to_json(table.provenance),
             "entries": entries}
 
 
@@ -133,8 +146,7 @@ def table_from_json(data: dict) -> EmtTable:
         if kind == "exact":
             provenance = None
         elif kind == "noisy":
-            provenance = NoiseModel(json_number(provenance_data["sigma2"]),
-                                    json_number(provenance_data["seed"], integer=True))
+            provenance = noise_from_json(provenance_data)
         else:
             raise ValueError(f"unknown provenance kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:

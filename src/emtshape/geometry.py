@@ -192,8 +192,12 @@ def sample(descriptor: CurveDescriptor, n: int) -> BoundaryCurve:
     if speed.min() <= 1e-12 * speed.max():
         raise ValueError("parametrization speed vanishes; degenerate descriptor")
 
-    area = 0.5 * (2.0 * math.pi / n) * float(np.imag(np.conj(z) @ dz))
-    if area < 0.0:
+    # the orientation is the sign of the area, Im sum conj(z) dz; scaling z
+    # and dz by the power of two that brings their largest component into
+    # [0.5, 1) keeps the sum from overflowing and leaves each rounding as is
+    scale = math.ldexp(1.0, -math.frexp(max(np.abs(z.view(float)).max(),
+                                            np.abs(dz.view(float)).max()))[1])
+    if np.imag(np.conj(z * scale) @ (dz * scale)) < 0.0:
         # reverse orientation: z~(theta) = z(-theta) on the same grid
         idx = (-np.arange(n)) % n
         z = z[idx]

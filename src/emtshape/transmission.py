@@ -48,18 +48,18 @@ class SolverError(RuntimeError):
     """Raised when the discretized transmission system cannot be solved."""
 
 
-def evaluate_background(curve: BoundaryCurve, mu: float, order: int,
-                        center: complex = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def evaluate_background(curve: BoundaryCurve, mu: float,
+                        order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodal values and traction densities of the background fields
-    h_n^(t) = conj(q_t w^n), q_1 = 1, q_2 = i, w = z - center, n <= order.
+    h_n^(t) = conj(q_t z^n), q_1 = 1, q_2 = i, n <= order.
 
     Both arrays have shape (2 order, N); row 2(n-1) + (t-1) holds h_n^(t).
     The traction (conormal derivative per unit arc length, mu the background
     shear modulus) comes from the complex representation: with potentials
     (f, g) of h, traction * dsigma = -2 i mu d/dtheta [f + z conj(f') + conj(g)],
-    here 2 i mu conj(q_t n w^(n-1) dz) dtheta.
+    here 2 i mu conj(q_t n z^(n-1) dz) dtheta.
     """
-    powers = (curve.z - center) ** np.arange(order + 1)[:, None]
+    powers = curve.z ** np.arange(order + 1)[:, None]
     q = np.array([1.0, 1.0j])[:, None]
     n = np.arange(1, order + 1)[:, None, None]
     h = np.conj(q * powers[1:, None])
@@ -160,11 +160,10 @@ def _write_real_linear(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
 
 
 def _single_layer(log: np.ndarray, kern: np.ndarray, w: np.ndarray, alpha: float,
-                  beta: float, p: np.ndarray | None = None,
-                  q: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """P^T and Q^T of the single-layer trace S[u]|, in p (real) and q where
-    given; w is the weight at the panel's sources.  P = alpha log + c 1 w^T
-    is real, Q = c kern, with c = -beta / 4 pi."""
+                  beta: float, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P^T and Q^T of the single-layer trace S[u]|, in p (real) and q; w is
+    the weight at the panel's sources.  P = alpha log + c 1 w^T is real,
+    Q = c kern, with c = -beta / 4 pi."""
     c = -beta / (4.0 * math.pi)
     p = np.multiply(alpha, log, out=p)
     p += (c * w)[:, None]

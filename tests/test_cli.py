@@ -9,6 +9,7 @@ import pytest
 
 from emtshape import cli, transmission
 from emtshape.disk import disk_emt_table
+from emtshape.emt import NoiseModel
 from emtshape.materials import LameConstants, MaterialPair
 
 BASE_CONFIG = {
@@ -141,6 +142,52 @@ def test_malformed_config_exits_2(tmp_path):
 def test_missing_config_exits_2(tmp_path):
     result = run_cli("forward", "absent.json", cwd=tmp_path)
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "deeply-nested"])
+@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+def test_undecodable_document_exits_2(tmp_path, command, text):
+    # forward reads the broken config, reconstruct the broken table
+    if command == "forward":
+        (tmp_path / "config.json").write_bytes(text)
+    else:
+        write_config(tmp_path / "config.json")
+        (tmp_path / "table.json").write_bytes(text)
+    args = ("config.json", "table.json") if command == "reconstruct" else ("config.json",)
+    result = run_cli(command, *args, cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("configuration error: malformed JSON in ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("overrides,flags,expected", [
+    pytest.param({"noise": {"sigma2": 0.02, "seed": 11}}, {"noise_var": 0.5},
+                 (4, 64, NoiseModel(0.5, 11)), id="noise-var-keeps-config-seed"),
+    pytest.param({"noise": {"sigma2": 0.02, "seed": 11}}, {"seed": 3},
+                 (4, 64, NoiseModel(0.02, 3)), id="seed-keeps-config-variance"),
+    pytest.param({}, {"noise_var": 0.5}, (4, 64, NoiseModel(0.5, 0)), id="noise-var-alone"),
+    pytest.param({"order": 32, "nodes": 64}, {"nodes": 128}, (32, 128, None),
+                 id="nodes-flag-resolves-order"),
+    pytest.param({"noise": {"sigma2": "x", "seed": 1}}, {"noise_var": 0.5}, None,
+                 id="malformed-block-with-noise-var"),
+    pytest.param({"noise": [0.02, 11]}, {"noise_var": 0.5}, None,
+                 id="list-block-with-noise-var"),
+    pytest.param({"order": "six"}, {"order": 4}, None, id="malformed-order-with-flag"),
+    pytest.param({"nodes": "many"}, {"nodes": 64}, None, id="malformed-nodes-with-flag"),
+    pytest.param({}, {"seed": 3}, None, id="seed-without-noise"),
+    pytest.param({}, {"noise_var": 0.01, "seed": -1}, None, id="negative-seed"),
+    pytest.param({}, {"noise_var": float("inf")}, None, id="infinite-noise-var"),
+])
+def test_load_config_overrides(tmp_path, overrides, flags, expected):
+    # every config field is read even where a flag replaces it
+    write_config(tmp_path / "config.json", **overrides)
+    if expected is None:
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(tmp_path / "config.json", **flags)
+        return
+    config = cli.load_config(tmp_path / "config.json", **flags)
+    assert (config.order, config.nodes, config.noise) == expected
 
 
 @pytest.mark.parametrize("break_config", [
@@ -329,12 +376,22 @@ def test_singular_system_exits_1(tmp_path, monkeypatch, capsys):
         assert not (tmp_path / "out" / "emt_table.json").exists()
 
 
-@pytest.mark.parametrize("command", ["forward", "roundtrip"])
-def test_overflowing_table_exits_1(tmp_path, command):
+@pytest.mark.parametrize("command,radius,flags", [
     # z^12 on a disk of radius 1e14 overflows in the table's pairing
+    pytest.param("forward", 1e14, (), id="forward"),
+    pytest.param("roundtrip", 1e14, (), id="roundtrip"),
+    # the exact table (entries up to 1e192) is finite; the noise factors
+    # (about 1e150) make it overflow
+    pytest.param("forward", 1e8, ("--noise-var", "1e300", "--seed", "1"), id="forward-noisy"),
+    pytest.param("roundtrip", 1e8, ("--noise-var", "1e300", "--seed", "1"),
+                 id="roundtrip-noisy"),
+    # z times dz overflows, so sampling must orient the curve without forming it
+    pytest.param("forward", 1e160, (), id="forward-huge-disk"),
+])
+def test_overflowing_table_exits_1(tmp_path, command, radius, flags):
     write_config(tmp_path / "config.json", order=12,
-                 shape={"kind": "disk", "center": [0, 0], "radius": 1e14})
-    result = run_cli(command, "config.json", cwd=tmp_path)
+                 shape={"kind": "disk", "center": [0, 0], "radius": radius})
+    result = run_cli(command, "config.json", *flags, cwd=tmp_path)
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith("numerical failure: ")
     assert "Traceback" not in result.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from emtshape.transmission import (
     _circulant_rows,
     _log_quadrature_row,
     _periodic_columns,
+    _real_half,
     _rhs,
     _single_layer,
     _single_layer_pieces,
@@ -40,10 +42,21 @@ def trace_block(curve, alpha, beta):
     # the real block of S[phi]|, from the pieces of one panel over every node;
     # _write_real_linear writes the rows of its transpose
     n = curve.n
-    log, kern = _single_layer_pieces(curve, 0, n, panel_work(curve))
     rows = np.empty((2 * n, 2 * n))
-    _write_real_linear(rows, *_single_layer(log, kern, curve.weight, alpha, beta))
+    _write_real_linear(rows, *single_layer(curve, alpha, beta))
     return rows.T
+
+
+def single_layer(curve, alpha, beta):
+    # P^T and Q^T of S[phi]| over every node, in the buffers _write_panel uses
+    work = panel_work(curve)
+    log, kern = _single_layer_pieces(curve, 0, curve.n, work)
+    return _single_layer(log, kern, curve.weight, alpha, beta, _real_half(work[3]), work[0])
+
+
+def translated(curve, center):
+    # the curve moved by -center, so its background fields are those of z - center
+    return dataclasses.replace(curve, z=curve.z - center)
 
 
 def nodes(n):
@@ -192,7 +205,7 @@ def test_background_field_values():
     # traction carries no net force and no net torque
     center = 0.3 - 0.2j
     curve = sample(KITE, 128)
-    h, traction = evaluate_background(curve, SOFT.background.mu, 4, center)
+    h, traction = evaluate_background(translated(curve, center), SOFT.background.mu, 4)
     assert h.shape == traction.shape == (8, 128)
     for n in range(1, 5):
         for t, q in ((1, 1.0), (2, 1.0j)):
@@ -237,7 +250,7 @@ def test_exact_disk_densities_satisfy_equations(mat, n, q):
     center, gamma = -0.3 + 0.5j, 0.9
     curve = sample(Disk(center, gamma), 64)
     phi, psi = disk_densities(mat, gamma, n, curve, q)
-    h, traction = evaluate_background(curve, mat.background.mu, n, center)
+    h, traction = evaluate_background(translated(curve, center), mat.background.mu, n)
     j = row(n, 1 if q == 1.0 else 2)
     assert np.all(residuals(curve, mat, h[j : j + 1], traction[j : j + 1],
                             psi[None], phi[None]) < 1e-10)
@@ -250,7 +263,7 @@ def test_solver_matches_disk_closed_form(mat, t, n):
     # node counts on, off and below the panel size
     for nodes in (128, 100, 48):
         curve = sample(Disk(center, gamma), nodes)
-        h, traction = evaluate_background(curve, mat.background.mu, n, center)
+        h, traction = evaluate_background(translated(curve, center), mat.background.mu, n)
         j = row(n, t)
         psi, phi = solve_densities(curve, mat, h[j : j + 1], traction[j : j + 1])
         q = 1.0 if t == 1 else 1.0j
@@ -409,8 +422,7 @@ def test_eshelby_polynomial_property(shape, inclusion):
     h, traction = evaluate_background(curve, mat.background.mu, 6)
     _, phi = solve_densities(curve, mat, h, traction)
     k = mat.constants
-    p, q = _single_layer(*_single_layer_pieces(curve, 0, curve.n, panel_work(curve)),
-                         curve.weight, k.alpha, k.beta)
+    p, q = single_layer(curve, k.alpha, k.beta)
     u_hat = np.abs(np.fft.fft(h + phi @ p + np.conj(phi) @ q))
     # row 2(n-1) + (t-1) of h has degree n
     beyond = np.abs(np.fft.fftfreq(curve.n, 1.0 / curve.n)) > np.arange(len(h))[:, None] // 2 + 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,23 @@ def test_self_intersecting_curve_rejected():
     # limacon with an inner loop: r = 1 + 2 cos(theta)
     with pytest.raises(ValueError, match="not simple"):
         sample(Starfish(0.0, 1.0, 1), 64)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e160, 1e300])
+def test_orientation_normalized_at_any_scale(scale):
+    # sum conj(z) dz underflows or overflows at these scales; the sign of the
+    # area must not, or a clockwise disk would fail the winding test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = sample(FourierCurve((scale,), min_index=-1), 16)
+    assert np.allclose(curve.z / scale, np.exp(1j * nodes(16)))
+
+
+def test_huge_self_intersecting_curve_rejected_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not simple"):
+            sample(PerturbedDisk(0.0, 1.0, (0.0, 1e200)), 64)
 
 
 def test_degenerate_speed_rejected():
