@@ -14,22 +14,22 @@ A run is configured by a single JSON document
       "outputDir": "out"
     }
 
-with ``nodes`` (default NODES) and ``noise`` optional and no other keys;
-``order`` must stay below ``nodes``/2, the highest mode the quadrature
-resolves.  The flags ``--order``, ``--nodes``, ``--noise-var``, ``--seed``
-and ``--out`` override the corresponding fields, which are still read and
-must be valid.  ``--noise-var`` and ``--seed`` replace the fields of the
-noise block; ``--noise-var`` without a block draws with seed 0, and
-``--seed`` needs a variance.  The noise block has the format of a noisy
-table's provenance, and ``emt`` reads both.  ``reconstruct`` rejects
+with ``nodes`` (default NODES) and ``noise`` optional.  Every object of a
+config or table document holds only its declared keys, each once
+(``geometry.check_keys``); ``order`` must stay below ``nodes``/2, the
+highest mode the quadrature resolves.  The flags ``--order``, ``--nodes``,
+``--noise-var``, ``--seed`` and ``--out`` override the corresponding fields,
+which are still read and must be valid.  ``--noise-var`` and ``--seed``
+replace the fields of the noise block; ``--noise-var`` without a block draws
+with seed 0, and ``--seed`` needs a variance.  ``reconstruct`` rejects
 ``--noise-var`` and ``--seed``, since its table document records its own
 noise; it still accepts a config's ``noise`` block, because forward and
 reconstruct share config files.  The recovered and the true boundary are
-compared at THETA_SAMPLES parameters.  Exit codes: 0 success,
-1 numerical failure (a table, exact or noisy, that is not finite is one),
-2 configuration error (an output directory that cannot be created or an
-output file that cannot be written is one).  Outputs carry no timestamps,
-so identical configurations produce byte-identical files.
+compared at THETA_SAMPLES parameters.  Exit codes: 0 success, 1 numerical
+failure (a table, exact or noisy, that is not finite is one), 2
+configuration error (an output directory that cannot be created or an output
+file that cannot be written is one).  Outputs carry no timestamps, so
+identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +58,7 @@ from .geometry import (
     BoundaryCurve,
     CurveDescriptor,
     Disk,
+    check_keys,
     descriptor_from_json,
     descriptor_to_json,
     json_number,
@@ -87,7 +89,6 @@ __all__ = [
 
 THETA_SAMPLES = 512
 NODES = 256
-_CONFIG_KEYS = {"materials", "shape", "order", "nodes", "noise", "outputDir"}
 
 
 class ConfigError(ValueError):
@@ -116,16 +117,23 @@ class RunConfig:
 
 def _lame_from_json(data: dict, label: str) -> LameConstants:
     try:
+        check_keys(data, ("lambda", "mu"))
         return LameConstants(json_number(data["lambda"]), json_number(data["mu"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {label} material: {exc}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    if len(obj := dict(pairs)) < len(pairs):
+        raise ValueError(f"repeated key {Counter(k for k, _ in pairs).most_common(1)[0][0]!r}")
+    return obj
 
 
 def _read_json(path: str | Path, what: str):
     """The one reader of the config and table documents; ``what`` names the
     document in the message of a file that cannot be read."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -143,16 +151,11 @@ def load_config(path: str | Path, *, order: int | None = None,
     alone, with no block, draws with seed 0.
     """
     raw = _read_json(path, "config")
-    if not isinstance(raw, dict):
-        raise ConfigError("config document must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
-        materials = MaterialPair(
-            _lame_from_json(raw["materials"]["background"], "background"),
-            _lame_from_json(raw["materials"]["inclusion"], "inclusion"),
-        )
+        check_keys(raw, ("materials", "shape", "order", "nodes", "noise", "outputDir"))
+        check_keys(raw["materials"], ("background", "inclusion"))
+        materials = MaterialPair(*(_lame_from_json(raw["materials"][label], label)
+                                   for label in ("background", "inclusion")))
         shape = descriptor_from_json(raw["shape"])
         cfg_order = json_number(raw["order"], integer=True)
         cfg_nodes = json_number(raw.get("nodes", NODES), integer=True)
@@ -249,12 +252,11 @@ def _write_overlay_svg(path: Path, truth: np.ndarray, recon: np.ndarray) -> None
 
 
 def cmd_forward(config: RunConfig) -> EmtTable:
-    """Solve the transmission problem and write ``emt_table.json``."""
+    """Solve the transmission problem; callers write the table once all their work is done."""
     curve = _sample_shape(config.shape, config.nodes)
     table = emt_table(curve, config.materials, config.order)
     if config.noise is not None:
         table = apply_noise(table, config.noise)
-    _write_json(config.output_dir / "emt_table.json", table_to_json(table))
     return table
 
 
@@ -290,6 +292,7 @@ def cmd_roundtrip(config: RunConfig) -> dict:
         "estimate": shape_estimate_to_json(estimate),
         "error": {"hausdorff": err.hausdorff, "radialL2": err.radial_l2},
     }
+    _write_json(config.output_dir / "emt_table.json", table_to_json(table))
     _write_json(config.output_dir / "report.json", report)
     return report
 
@@ -368,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
                               "the order-2 entries)")
         _check_output_dir(config)
         if args.command == "forward":
-            cmd_forward(config)
+            _write_json(config.output_dir / "emt_table.json", table_to_json(cmd_forward(config)))
         elif args.command == "reconstruct":
             document = _read_json(args.table, "table")
             try:

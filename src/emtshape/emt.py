@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryCurve, json_number
+from .geometry import BoundaryCurve, check_keys, json_number
 from .materials import MaterialPair
 from .transmission import SolverError, evaluate_background, solve_densities
 
@@ -112,9 +112,12 @@ def apply_noise(table: EmtTable, noise: NoiseModel) -> EmtTable:
 
 
 def noise_from_json(block) -> NoiseModel:
-    """The {"sigma2", "seed"} noise block of a config or of a noisy table's
-    provenance; raises KeyError, TypeError or ValueError when it is malformed."""
-    return NoiseModel(json_number(block["sigma2"]), json_number(block["seed"], integer=True))
+    """The {"sigma2", "seed"} noise block of a config, a noisy table's
+    provenance without its "kind"; raises KeyError, TypeError or ValueError
+    when it is malformed or carries other keys."""
+    noise = NoiseModel(json_number(block["sigma2"]), json_number(block["seed"], integer=True))
+    check_keys(block, provenance_to_json(noise).keys() - {"kind"})
+    return noise
 
 
 def provenance_to_json(noise: NoiseModel | None) -> dict:
@@ -124,31 +127,28 @@ def provenance_to_json(noise: NoiseModel | None) -> dict:
     return {"kind": "noisy", "sigma2": noise.sigma2, "seed": noise.seed}
 
 
+_TABLE_KEYS = ("order", "provenance", "entries")
+_ENTRY_KEYS = ("n", "m", "t", "s", "value")
+
+
 def table_to_json(table: EmtTable) -> dict:
-    entries = [
-        {"n": n, "m": m, "t": t, "s": s,
-         "value": float(table.values[n - 1, m - 1, t - 1, s - 1])}
-        for n in range(1, table.order + 1)
-        for m in range(1, table.order + 1)
-        for t in (1, 2)
-        for s in (1, 2)
-    ]
-    return {"order": table.order, "provenance": provenance_to_json(table.provenance),
-            "entries": entries}
+    entries = [dict(zip(_ENTRY_KEYS, (n + 1, m + 1, t + 1, s + 1, float(value))))
+               for (n, m, t, s), value in np.ndenumerate(table.values)]
+    return dict(zip(_TABLE_KEYS, (table.order, provenance_to_json(table.provenance), entries)))
 
 
 def table_from_json(data: dict) -> EmtTable:
     try:
+        check_keys(data, _TABLE_KEYS)
         order = json_number(data["order"], integer=True)
         provenance_data = data["provenance"]
         entries = list(data["entries"])
-        kind = "exact" if provenance_data is None else provenance_data["kind"]
-        if kind == "exact":
-            provenance = None
-        elif kind == "noisy":
-            provenance = noise_from_json(provenance_data)
-        else:
+        kind = provenance_data["kind"]
+        if kind not in ("exact", "noisy"):
             raise ValueError(f"unknown provenance kind {kind!r}")
+        block = {key: value for key, value in provenance_data.items() if key != "kind"}
+        provenance = noise_from_json(block) if kind == "noisy" else None
+        check_keys(provenance_data, provenance_to_json(provenance))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed EMT table document: {exc}") from exc
     if order < 1:
@@ -160,11 +160,11 @@ def table_from_json(data: dict) -> EmtTable:
     values = np.full((order, order, 2, 2), np.nan)
     for entry in entries:
         try:
-            n, m, t, s = (json_number(entry[key], integer=True)
-                          for key in ("n", "m", "t", "s"))
-            value = json_number(entry["value"])
+            check_keys(entry, _ENTRY_KEYS)
+            n, m, t, s, value = (json_number(entry[key], integer=key != "value")
+                                 for key in _ENTRY_KEYS)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed EMT entry {entry!r}") from exc
+            raise ValueError(f"malformed EMT entry {entry!r}: {exc}") from exc
         if not (1 <= n <= order and 1 <= m <= order and t in (1, 2) and s in (1, 2)):
             raise ValueError(f"EMT entry index {(n, m, t, s)} out of range")
         values[n - 1, m - 1, t - 1, s - 1] = value

@@ -31,6 +31,7 @@ __all__ = [
     "descriptor_to_json",
     "descriptor_from_json",
     "json_number",
+    "check_keys",
 ]
 
 
@@ -213,7 +214,7 @@ def sample(descriptor: CurveDescriptor, n: int) -> BoundaryCurve:
 
 
 def _c(value: complex) -> list[float]:
-    return [float(np.real(value)), float(np.imag(value))]
+    return [float(value.real), float(value.imag)]
 
 
 def json_number(value, integer: bool = False) -> float | int:
@@ -233,6 +234,14 @@ def json_number(value, integer: bool = False) -> float | int:
     if value != int(value):
         raise ValueError(f"expected an integer, got {value}")
     return int(value)
+
+
+def check_keys(obj: dict, allowed) -> None:
+    """Raise ValueError naming the keys of the JSON object ``obj`` not in ``allowed``."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    if unknown := sorted(set(obj).difference(allowed)):
+        raise ValueError(f"unknown keys: {', '.join(unknown)}")
 
 
 def _as_complex(pair) -> complex:
@@ -265,21 +274,24 @@ def descriptor_from_json(obj: dict) -> CurveDescriptor:
     try:
         kind = obj["kind"]
         if kind == "disk":
-            return Disk(_as_complex(obj["center"]), json_number(obj["radius"]))
-        if kind == "ellipse":
-            return Ellipse(_as_complex(obj["center"]), json_number(obj["semiAxisA"]),
-                           json_number(obj["semiAxisB"]))
-        if kind == "kite":
-            return Kite(_as_complex(obj["center"]), json_number(obj["coefficient"]))
-        if kind == "starfish":
-            return Starfish(_as_complex(obj["center"]), json_number(obj["modeAmplitude"]),
-                            json_number(obj["modeIndex"], integer=True))
-        if kind == "perturbedDisk":
-            return PerturbedDisk(_as_complex(obj["center"]), json_number(obj["radius"]),
-                                 tuple(_as_complex(c) for c in obj["coefficients"]))
-        if kind == "fourierCurve":
-            return FourierCurve(tuple(_as_complex(c) for c in obj["coefficients"]),
-                                json_number(obj.get("minIndex", 0), integer=True))
+            d = Disk(_as_complex(obj["center"]), json_number(obj["radius"]))
+        elif kind == "ellipse":
+            d = Ellipse(_as_complex(obj["center"]), json_number(obj["semiAxisA"]),
+                        json_number(obj["semiAxisB"]))
+        elif kind == "kite":
+            d = Kite(_as_complex(obj["center"]), json_number(obj["coefficient"]))
+        elif kind == "starfish":
+            d = Starfish(_as_complex(obj["center"]), json_number(obj["modeAmplitude"]),
+                         json_number(obj["modeIndex"], integer=True))
+        elif kind == "perturbedDisk":
+            d = PerturbedDisk(_as_complex(obj["center"]), json_number(obj["radius"]),
+                              tuple(_as_complex(c) for c in obj["coefficients"]))
+        elif kind == "fourierCurve":
+            d = FourierCurve(tuple(_as_complex(c) for c in obj["coefficients"]),
+                             json_number(obj.get("minIndex", 0), integer=True))
+        else:
+            raise ValueError(f"unknown curve kind {kind!r}")
+        check_keys(obj, descriptor_to_json(d))
+        return d
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed curve descriptor: {exc}") from exc
-    raise ValueError(f"unknown curve kind {kind!r}")

@@ -144,8 +144,9 @@ def test_missing_config_exits_2(tmp_path):
     assert result.returncode == 2
 
 
-@pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
-                         ids=["not-utf8", "deeply-nested"])
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000,
+                                  b'{"shape": {"kind": "disk", "kind": "kite"}}'],
+                         ids=["not-utf8", "deeply-nested", "repeated-nested-key"])
 @pytest.mark.parametrize("command", ["forward", "reconstruct"])
 def test_undecodable_document_exits_2(tmp_path, command, text):
     # forward reads the broken config, reconstruct the broken table
@@ -223,6 +224,13 @@ def test_load_config_overrides(tmp_path, overrides, flags, expected):
     lambda c: c.update(shape={"kind": "starfish", "center": [0.0, 0.0],
                               "modeAmplitude": 0.1, "modeIndex": 40}),
     lambda c: c.update(order=32, nodes=64),
+    lambda c: c.update(shape={"kind": "disk", "center": [0.0, 0.0], "radius": 1.0,
+                              "radiuss": 2.0}),
+    lambda c: c.update(shape={"kind": "fourierCurve", "minindex": 1,
+                              "coefficients": [[1.0, 0.0], [0.1, 0.0]]}),
+    lambda c: c["materials"].update(matrix={"lambda": 1.5, "mu": 1.2}),
+    lambda c: c["materials"]["background"].update(nu=3),
+    lambda c: c.update(noise={"sigma2": 0.01, "seed": 1, "sigma": 0.1}),
 ])
 def test_invalid_config_exits_2(tmp_path, break_config):
     config = {**BASE_CONFIG}
@@ -253,6 +261,9 @@ def test_invalid_config_exits_2(tmp_path, break_config):
         "shape": {"kind": "starfish", "center": [0.0, 0.0],
                   "modeAmplitude": 0.0005, "modeIndex": 255},
     }, 2, id="roundtrip-unresolved-truth"),
+    # the noise makes E^(1,1)_11 negative, so the inversion fails after the forward solve
+    pytest.param("roundtrip", {"noise": {"sigma2": 0.05, "seed": 34481}}, 1,
+                 id="roundtrip-failed-inversion"),
 ])
 def test_config_contract(tmp_path, command, overrides, code):
     write_config(tmp_path / "config.json", **overrides)
@@ -458,6 +469,7 @@ def test_invalid_table_schema_exits_2(tmp_path):
     lambda doc: doc["entries"][0].update(t=1.7),
     lambda doc: doc["entries"][0].update(value="1.0"),
     lambda doc: doc.update(provenance={"kind": "noisy", "sigma2": 0.01, "seed": 2.5}),
+    lambda doc: doc.update(note="exact"),
 ])
 def test_invalid_table_exits_2(tmp_path, break_table):
     write_config(tmp_path / "config.json")

@@ -133,6 +133,12 @@ def test_json_round_trip_exact_and_noisy():
     lambda doc: doc.update(provenance={"kind": "mystery"}),
     lambda doc: doc.update(order="two"),
     lambda doc: doc["entries"][0].update(value=True),
+    lambda doc: doc.update(note="exact"),
+    lambda doc: doc.update(provenance={"kind": "exact", "seed": 3}),
+    lambda doc: doc.update(provenance={"kind": "noisy", "sigma2": 0.01, "seed": 3,
+                                       "sigma": 0.1}),
+    lambda doc: doc["entries"][0].update(weight=1.0),
+    lambda doc: doc.update(provenance=None),
 ])
 def test_json_malformed_documents(mutate):
     table = emt_table(sample(Disk(0.0, 1.0), 32), SOFT, 2)

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -135,6 +136,21 @@ def test_descriptor_json_round_trip(descriptor):
     assert descriptor_from_json(descriptor_to_json(descriptor)) == descriptor
 
 
+@pytest.mark.parametrize("descriptor,text", zip(DESCRIPTORS, [
+    '{"kind": "disk", "center": [0.1, 0.2], "radius": 0.9}',
+    '{"kind": "ellipse", "center": [-0.0, -0.3], "semiAxisA": 1.3, "semiAxisB": 0.7}',
+    '{"kind": "kite", "center": [0.6, 0.8], "coefficient": 0.65}',
+    '{"kind": "starfish", "center": [-0.9, 1.2], "modeAmplitude": 0.125, "modeIndex": 5}',
+    '{"kind": "perturbedDisk", "center": [0.0, 0.05], "radius": 1.02, '
+    '"coefficients": [[0.01, 0.0], [0.0, 0.0], [0.003, -0.001]]}',
+    '{"kind": "fourierCurve", "minIndex": -1, '
+    '"coefficients": [[0.1, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.05]]}',
+]))
+def test_descriptor_json_bytes(descriptor, text):
+    # report.json embeds the shape, so its key order is part of the output bytes
+    assert json.dumps(descriptor_to_json(descriptor)) == text
+
+
 def closed_form(d, theta):
     """z(theta) and z'(theta) of a descriptor, written out term by term."""
     e = np.exp(1j * theta)
@@ -199,6 +215,8 @@ def test_sample_ignores_zero_modes_beyond_the_grid():
     {"kind": "starfish", "center": [0.0, 0.0], "modeAmplitude": 0.1},
     {"radius": 1.0},
     {"kind": "disk", "center": "12", "radius": 1.0},
+    {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0, "radiuss": 2.0},
+    {"kind": "fourierCurve", "minindex": 1, "coefficients": [[1.0, 0.0], [0.1, 0.0]]},
 ])
 def test_descriptor_json_malformed(doc):
     with pytest.raises(ValueError):
