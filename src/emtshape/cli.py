@@ -153,14 +153,14 @@ def load_config(path: str | Path, *, order: int | None = None,
     raw = _read_json(path, "config")
     try:
         check_keys(raw, ("materials", "shape", "order", "nodes", "noise", "outputDir"))
-        check_keys(raw["materials"], ("background", "inclusion"))
+        check_keys(raw["materials"], ("background", "inclusion"), "materials")
         materials = MaterialPair(*(_lame_from_json(raw["materials"][label], label)
                                    for label in ("background", "inclusion")))
         shape = descriptor_from_json(raw["shape"])
         cfg_order = json_number(raw["order"], integer=True)
         cfg_nodes = json_number(raw.get("nodes", NODES), integer=True)
         cfg_out = Path(raw["outputDir"])
-        noise = None if raw.get("noise") is None else noise_from_json(raw["noise"])
+        noise = None if raw.get("noise") is None else noise_from_json(raw["noise"], "noise")
         if noise_var is not None or seed is not None:
             if noise is None and noise_var is None:
                 raise ConfigError("--seed given but no noise variance is configured")

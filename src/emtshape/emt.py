@@ -111,12 +111,12 @@ def apply_noise(table: EmtTable, noise: NoiseModel) -> EmtTable:
     return EmtTable(table.order, values, noise)
 
 
-def noise_from_json(block) -> NoiseModel:
+def noise_from_json(block, name: str) -> NoiseModel:
     """The {"sigma2", "seed"} noise block of a config, a noisy table's
     provenance without its "kind"; raises KeyError, TypeError or ValueError
-    when it is malformed or carries other keys."""
+    when it is malformed or carries other keys (that message leads with ``name``)."""
     noise = NoiseModel(json_number(block["sigma2"]), json_number(block["seed"], integer=True))
-    check_keys(block, provenance_to_json(noise).keys() - {"kind"})
+    check_keys(block, provenance_to_json(noise).keys() - {"kind"}, name)
     return noise
 
 
@@ -147,8 +147,8 @@ def table_from_json(data: dict) -> EmtTable:
         if kind not in ("exact", "noisy"):
             raise ValueError(f"unknown provenance kind {kind!r}")
         block = {key: value for key, value in provenance_data.items() if key != "kind"}
-        provenance = noise_from_json(block) if kind == "noisy" else None
-        check_keys(provenance_data, provenance_to_json(provenance))
+        provenance = noise_from_json(block, "provenance") if kind == "noisy" else None
+        check_keys(provenance_data, provenance_to_json(provenance), "provenance")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed EMT table document: {exc}") from exc
     if order < 1:

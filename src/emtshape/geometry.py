@@ -236,12 +236,14 @@ def json_number(value, integer: bool = False) -> float | int:
     return int(value)
 
 
-def check_keys(obj: dict, allowed) -> None:
-    """Raise ValueError naming the keys of the JSON object ``obj`` not in ``allowed``."""
+def check_keys(obj: dict, allowed, name: str = "") -> None:
+    """Raise ValueError naming the keys of the JSON object ``obj`` not in
+    ``allowed``; a nested object's ``name`` leads the message."""
+    where = f"{name}: " if name else ""
     if not isinstance(obj, dict):
-        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+        raise TypeError(f"{where}expected a JSON object, got {type(obj).__name__}")
     if unknown := sorted(set(obj).difference(allowed)):
-        raise ValueError(f"unknown keys: {', '.join(unknown)}")
+        raise ValueError(f"{where}unknown keys: {', '.join(unknown)}")
 
 
 def _as_complex(pair) -> complex:

@@ -227,58 +227,50 @@ def shape_error(samples: np.ndarray, truth: BoundaryCurve,
 
     The Hausdorff distance is the exact max-of-min of |samples_i - truth_j|
     (NaN if any distance is NaN), found without the full distance matrix
-    by _hausdorff.  The radial metric treats both boundaries as radial
-    graphs about ``center`` and compares radii at the sample angles by
-    periodic linear interpolation.
+    by _directed, run samples to truth and then truth to samples seeded
+    with the first maximum.  The radial metric treats both boundaries as
+    radial graphs about ``center`` and compares radii at the sample angles
+    by periodic linear interpolation.
     """
     samples = np.asarray(samples, dtype=complex)
-    truth_z = truth.z
-    rel_s = samples - center
-    rel_t = truth_z - center
-    ang_s = np.angle(rel_s)
-    ang_t = np.angle(rel_t)
-    order = np.argsort(ang_t)
-    by_s = np.argsort(ang_s)
-    hausdorff = _hausdorff(samples[by_s], ang_s[by_s], truth_z[order], ang_t[order])
+    rel_s, rel_t = samples - center, truth.z - center
+    ang_s, ang_t = np.angle(rel_s), np.angle(rel_t)
+    by_s, by_t = np.argsort(ang_s), np.argsort(ang_t)
+    rel_t, ang_t = rel_t[by_t], ang_t[by_t]
+    s, t = (samples[by_s], ang_s[by_s]), (truth.z[by_t], ang_t)
+    hausdorff = _directed(*t, *s, _directed(*s, *t, 0.0))
 
-    ang_t, rad_t = ang_t[order], np.abs(rel_t)[order]
-    ang_t = np.concatenate([ang_t, [ang_t[0] + 2.0 * math.pi]])
-    rad_t = np.concatenate([rad_t, [rad_t[0]]])
-    interp = np.interp(np.mod(ang_s - ang_t[0], 2.0 * math.pi) + ang_t[0],
-                       ang_t, rad_t)
+    ang_t = np.append(ang_t, ang_t[0] + 2.0 * math.pi)
+    rad_t = np.abs(np.append(rel_t, rel_t[0]))
+    interp = np.interp(np.mod(ang_s - ang_t[0], 2.0 * math.pi) + ang_t[0], ang_t, rad_t)
     radial = float(np.sqrt(np.mean((np.abs(rel_s) - interp) ** 2)))
     return ShapeError(hausdorff, radial)
 
 
-def _hausdorff(p: np.ndarray, ang_p: np.ndarray,
-               q: np.ndarray, ang_q: np.ndarray) -> float:
-    """max(max_i min_j |p_i - q_j|, max_j min_i |p_i - q_j|) for point sets
-    sorted by their angles ang_p, ang_q about a common center.
+def _directed(p: np.ndarray, ang_p: np.ndarray,
+              q: np.ndarray, ang_q: np.ndarray, best: float) -> float:
+    """max(best, max_i min_j |p_i - q_j|) for point sets sorted by their
+    angles ang_p, ang_q about a common center; NaN when a point of p is.
 
     Bound and verify (Taha & Hanbury, IEEE TPAMI 37(11), 2015): a point's
-    distance to the nearest of its 7 angular neighbours in the other set
-    bounds its nearest distance from above.  Rows are resolved exactly in
-    order of decreasing bound, in batches of 1, 2, 4, 8 and then 16 rows,
-    until no bound left exceeds the largest exact row minimum, which is then
-    the distance.  The bound is mostly exact, so most inputs stop after one
-    or two batches.  Every value compared is an entry of the dense matrix,
-    so the result is bit-identical to the dense max-of-min, and memory stays
-    linear in the set sizes.
+    distance to the nearest of its 7 angular neighbours in q bounds its
+    nearest distance from above.  Rows of p are resolved exactly in order
+    of decreasing bound, in batches of 1, 2, 4, 8 and then 16 rows, until
+    no bound left exceeds the largest exact row minimum or ``best``.  The
+    bound is mostly exact, so most inputs stop after one or two batches,
+    and a larger ``best`` prunes more.  Every value compared is an entry of
+    the dense matrix, so the result is bit-identical to the dense
+    max-of-min, and memory stays linear in the set sizes.
     """
-    offsets = np.arange(-3, 4)[:, None]
-    near = np.concatenate([q.take(np.searchsorted(ang_q, ang_p) + offsets, mode="wrap"),
-                           p.take(np.searchsorted(ang_p, ang_q) + offsets, mode="wrap")],
-                          axis=1)
-    bound = np.abs(np.concatenate([p, q]) - near).min(axis=0)  # rows of p, then rows of q
+    near = q.take(np.searchsorted(ang_q, ang_p) + np.arange(-3, 4)[:, None], mode="wrap")
+    bound = np.abs(p - near).min(axis=0)
     if np.isnan(bound).any():
         return math.nan
     visit = np.argsort(bound)[::-1]
-    best, start, size = 0.0, 0, 1
+    start, size = 0, 1
     while start < visit.size and bound[visit[start]] > best:
-        rows = visit[start:start + size]
-        for x, y, sel in ((p, q, rows[rows < p.size]), (q, p, rows[rows >= p.size] - p.size)):
-            if sel.size:
-                best = max(best, float(np.abs(x[sel, None] - y).min(axis=1).max()))
+        rows = p[visit[start:start + size]]
+        best = max(best, float(np.abs(rows[:, None] - q).min(axis=1).max()))
         start += size
         size = min(2 * size, 16)
     return best

@@ -481,6 +481,28 @@ def test_invalid_table_exits_2(tmp_path, break_table):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("config,table,message", [
+    pytest.param({"noise": {"sigma2": 0.01, "seed": 1, "sigma": 0.1}}, {},
+                 "invalid config: noise: unknown keys: sigma", id="config-noise"),
+    pytest.param({"materials": {**BASE_CONFIG["materials"],
+                                "matrix": {"lambda": 1.5, "mu": 1.2}}}, {},
+                 "invalid config: materials: unknown keys: matrix", id="config-materials"),
+    pytest.param({}, {"provenance": {"kind": "exact", "seed": 3}},
+                 "malformed EMT table document: provenance: unknown keys: seed",
+                 id="exact-provenance"),
+    pytest.param({}, {"provenance": {"kind": "noisy", "sigma2": 0.01, "seed": 3,
+                                     "sigma": 0.1}},
+                 "malformed EMT table document: provenance: unknown keys: sigma",
+                 id="noisy-provenance"),
+])
+def test_nested_unknown_key_names_its_object(tmp_path, config, table, message):
+    write_config(tmp_path / "config.json", **config)
+    (tmp_path / "table.json").write_text(json.dumps({**table_doc(2, unit_diagonal), **table}))
+    result = run_cli("reconstruct", "config.json", "table.json", cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert message in result.stderr
+
+
 def test_oracle_suite_passes(tmp_path):
     result = run_cli("oracle", cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr

@@ -1,8 +1,8 @@
+import dataclasses
 import functools
 import json
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -303,6 +303,13 @@ def adversarial_case(kind):
     elif kind == "nan":
         samples = samples.copy()
         samples[7] = complex(math.nan, 0.0)
+    elif kind == "nan-in-truth":
+        z = truth.z.copy()
+        z[7] = complex(math.nan, 0.0)
+        truth = dataclasses.replace(truth, z=z)
+    elif kind == "arc":
+        # samples to truth is 0, so the whole distance comes from truth to samples
+        samples = truth.z[:100]
     elif kind == "one-sample":
         samples = reconstruct_curve(estimate("starfish", 12, 1e-2), 1)
     elif kind == "sixteen-rows":
@@ -320,7 +327,8 @@ CASES = [pytest.param(functools.partial(estimate_case, shape, order, sigma2),
          for shape in SHAPES for order in (6, 12, 24) for sigma2 in (0.0, 1e-4, 1e-2)]
 CASES += [pytest.param(functools.partial(adversarial_case, kind), id=kind)
           for kind in ("center-outside", "permuted", "theta-4", "point-cloud",
-                       "identical", "nan", "one-sample", "sixteen-rows", "duplicates")]
+                       "identical", "nan", "nan-in-truth", "one-sample", "sixteen-rows",
+                       "duplicates", "arc")]
 
 
 @pytest.mark.parametrize("make", CASES)
@@ -331,7 +339,7 @@ def test_shape_error_matches_dense_reference(make):
     assert np.array_equal(got, want, equal_nan=True)
     if samples is truth.z:
         assert got == 0.0
-    if np.isnan(samples).any():
+    if np.isnan(samples).any() or np.isnan(truth.z).any():
         assert math.isnan(got)
 
 
@@ -430,10 +438,10 @@ def test_second_channel_json_rows_match_columns(mat, order, sigma2):
 
 
 def test_second_channel_columns_empty_without_m2():
-    # M2 = 0 needs beta = 0, which no admissible pair reaches; stub the constants
-    constants = SimpleNamespace(m1=SOFT.constants.m1, m2=0.0)
-    mat = SimpleNamespace(inclusion=SOFT.inclusion, background=SOFT.background,
-                          constants=constants)
+    # lambda + mu = 1.1e-16 > 0 is admissible, yet 2 mu + lambda rounds to 1.0,
+    # so beta = 0.0 and M2 = -0.0
+    mat = MaterialPair(LameConstants(-0.9999999999999999, 1.0), LameConstants(0.0, 2.0))
+    assert mat.constants.m2 == 0.0
     delta = np.ones((24, 24, 2, 2))
     coeffs, diagnostics = fourier_coefficients(delta, 1.0, mat)
     cols = diagnostics["secondChannel"]
