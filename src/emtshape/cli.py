@@ -22,11 +22,13 @@ highest mode the quadrature resolves.  The flags ``--order``, ``--nodes``,
 which are still read and must be valid.  ``--noise-var`` and ``--seed``
 replace the fields of the noise block; ``--noise-var`` without a block draws
 with seed 0, and ``--seed`` needs a variance.  ``reconstruct`` rejects
-``--noise-var`` and ``--seed``, since its table document records its own
-noise; it still accepts a config's ``noise`` block, because forward and
-reconstruct share config files.  The recovered and the true boundary are
-compared at THETA_SAMPLES parameters.  Exit codes: 0 success, 1 numerical
-failure (a table, exact or noisy, that is not finite is one), 2
+``--noise-var`` and ``--seed``, and its help does not list them, since its
+table document records its own noise; it still accepts a config's ``noise``
+block, because forward and reconstruct share config files.  It inverts at
+the smaller of the config's ``order`` and the table's order, which
+``shape_estimate.json`` does not record.  The recovered and the true
+boundary are compared at THETA_SAMPLES parameters.  Exit codes: 0 success,
+1 numerical failure (a table, exact or noisy, that is not finite is one), 2
 configuration error (an output directory that cannot be created or an output
 file that cannot be written is one).  Outputs carry no timestamps, so
 identical configurations produce byte-identical files.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -225,9 +228,9 @@ def _write_boundary_csv(path: Path, samples: np.ndarray) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _svg_path(points: np.ndarray) -> str:
+def _svg_path(points: np.ndarray, digits: int) -> str:
     # SVG y axis points down; negate the imaginary part
-    return " ".join(map("{:.6f},{:.6f}".format, points.real.tolist(),
+    return " ".join(map(f"{{:.{digits}f}},{{:.{digits}f}}".format, points.real.tolist(),
                         (-points.imag).tolist()))
 
 
@@ -239,13 +242,15 @@ def _write_overlay_svg(path: Path, truth: np.ndarray, recon: np.ndarray) -> None
     margin = 0.05 * span
     view = (x0 - margin, y0 - margin, (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin)
     stroke = 0.008 * span
+    # 4 significant digits of the span, and never fewer than 6 decimals
+    d = max(6, 4 - math.floor(math.log10(span))) if 0.0 < span < math.inf else 6
     body = (
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{view[0]:.6f} {view[1]:.6f} {view[2]:.6f} {view[3]:.6f}">\n'
-        f'  <polygon points="{_svg_path(truth)}" fill="none" '
-        f'stroke="#999999" stroke-width="{stroke:.6f}"/>\n'
-        f'  <polygon points="{_svg_path(recon)}" fill="none" '
-        f'stroke="#000000" stroke-width="{stroke:.6f}"/>\n'
+        f'viewBox="{view[0]:.{d}f} {view[1]:.{d}f} {view[2]:.{d}f} {view[3]:.{d}f}">\n'
+        f'  <polygon points="{_svg_path(truth, d)}" fill="none" '
+        f'stroke="#999999" stroke-width="{stroke:.{d}f}"/>\n'
+        f'  <polygon points="{_svg_path(recon, d)}" fill="none" '
+        f'stroke="#000000" stroke-width="{stroke:.{d}f}"/>\n'
         f"</svg>\n"
     )
     _write_text(path, body)
@@ -324,12 +329,14 @@ def cmd_oracle() -> bool:
     return ok
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, noise: bool = True) -> None:
+    # without noise the noise flags still parse, so that main can reject them
     parser.add_argument("--order", type=int, help="override EMT order")
     parser.add_argument("--nodes", type=int, help="override quadrature node count")
     parser.add_argument("--noise-var", type=float, dest="noise_var",
-                        help="override noise variance sigma^2")
-    parser.add_argument("--seed", type=int, help="override noise seed")
+                        help="override noise variance sigma^2" if noise else argparse.SUPPRESS)
+    parser.add_argument("--seed", type=int,
+                        help="override noise seed" if noise else argparse.SUPPRESS)
     parser.add_argument("--out", help="override output directory")
 
 
@@ -345,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("reconstruct", help="invert a stored EMT table")
     p_rec.add_argument("config")
     p_rec.add_argument("table")
-    _add_common_flags(p_rec)
+    _add_common_flags(p_rec, noise=False)
     p_round = sub.add_parser("roundtrip", help="forward, invert, and report errors")
     p_round.add_argument("config")
     _add_common_flags(p_round)

@@ -159,28 +159,6 @@ def _write_real_linear(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     np.multiply(1j, np.subtract(p, q, out=q), out=rows[1::2].view(complex))
 
 
-def _single_layer(log: np.ndarray, kern: np.ndarray, w: np.ndarray, alpha: float,
-                  beta: float, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P^T and Q^T of the single-layer trace S[u]|, in p (real) and q; w is
-    the weight at the panel's sources.  P = alpha log + c 1 w^T is real,
-    Q = c kern, with c = -beta / 4 pi."""
-    c = -beta / (4.0 * math.pi)
-    p = np.multiply(alpha, log, out=p)
-    p += (c * w)[:, None]
-    return p, np.multiply(c, kern, out=q)
-
-
-def _traction(a: np.ndarray, q: np.ndarray, alpha: float, beta: float, p_out: np.ndarray,
-              q_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P^T and Q^T of dG/dtheta of the single layer, in p_out and q_out, where
-    traction * dsigma = -2 i mu (dG/dtheta) dtheta: P = (beta/2) A -
-    (alpha/2) conj(A) and Q = (beta/2) q."""
-    p = np.multiply(0.5 * beta, a, out=p_out)
-    conj = np.conj(a, out=q_out)
-    p -= np.multiply(0.5 * alpha, conj, out=conj)
-    return p, np.multiply(0.5 * beta, q, out=conj)
-
-
 def _single_layer_pieces(curve: BoundaryCurve, lo: int, hi: int,
                          work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The curve-only pieces of the single-layer trace for the source nodes
@@ -277,16 +255,24 @@ def _write_panel(at: np.ndarray, curve: BoundaryCurve, mat: MaterialPair,
     psi, phi = at[2 * lo : 2 * hi], at[2 * (n + lo) : 2 * (n + hi)]
 
     log, kern = _single_layer_pieces(curve, lo, hi, work)
+    p, q = _real_half(work[3]), work[0]
     for rows, alpha, beta in ((psi, k.alpha_tilde, k.beta_tilde), (phi, -k.alpha, -k.beta)):
-        p, q = _single_layer(log, kern, w, alpha, beta, _real_half(work[3]), work[0])
-        _write_real_linear(rows[:, trace], p, q)
+        # S[u]|: P = alpha log + c 1 w^T is real and Q = c kern, c = -beta / 4 pi
+        c = -beta / (4.0 * math.pi)
+        np.multiply(alpha, log, out=p)
+        p += (c * w)[:, None]
+        _write_real_linear(rows[:, trace], p, np.multiply(c, kern, out=q))
 
     # phi sees the exterior side of the Cauchy pieces, psi the interior
     sides = ((phi, -mu * k.alpha, -mu * k.beta),
              (psi, mu_t * k.alpha_tilde, mu_t * k.beta_tilde))
+    p = work[3]
     for (rows, alpha, beta), (a, q_side) in zip(sides, _cauchy_pieces(curve, lo, hi, work)):
-        p, q = _traction(a, q_side, alpha, beta, work[3], work[0])
-        _write_real_linear(rows[:, traction], p, q)
+        # dG/dtheta of S[u]|, traction * dsigma = -2 i mu (dG/dtheta) dtheta:
+        # P = (beta/2) A - (alpha/2) conj(A) and Q = (beta/2) q
+        np.multiply(0.5 * beta, a, out=p)
+        p -= np.multiply(0.5 * alpha, np.conj(a, out=q), out=q)
+        _write_real_linear(rows[:, traction], p, np.multiply(0.5 * beta, q_side, out=q))
 
 
 def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:

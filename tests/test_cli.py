@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,18 @@ def test_overlay_svg_bytes(tmp_path):
         b'  <polygon points="0.500000,-0.250000 -0.333333,-0.250000 -0.500000,-0.666667 '
         b'0.500000,0.250000" fill="none" stroke="#000000" stroke-width="0.016000"/>\n'
         b"</svg>\n")
+
+
+def test_overlay_svg_keeps_small_shapes(tmp_path):
+    # a shape of radius 1e-7 keeps every point apart and a visible stroke
+    truth = 1e-7 * np.exp(2j * np.pi * np.arange(512) / 512)
+    recon = 1.01 * truth + 2e-9
+    cli._write_overlay_svg(tmp_path / "overlay.svg", truth, recon)
+    svg = (tmp_path / "overlay.svg").read_text()
+    polygons = re.findall(r'points="([^"]*)"', svg)
+    assert [len(set(points.split())) for points in polygons] == [512, 512]
+    widths = re.findall(r'stroke-width="([^"]*)"', svg)
+    assert len(widths) == 2 and all(float(width) > 0.0 for width in widths)
 
 
 def test_roundtrip_deterministic(tmp_path):
@@ -317,6 +330,15 @@ def test_reconstruct_rejects_noise_flags(tmp_path, flags, noise):
     assert flags[0] in result.stderr
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "reconstruct", "roundtrip"])
+def test_noise_flags_listed_where_accepted(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    # reconstruct still parses them, to reject them (test_reconstruct_rejects_noise_flags)
+    shown = capsys.readouterr().out
+    assert [flag in shown for flag in ("--noise-var", "--seed")] == [command != "reconstruct"] * 2
 
 
 def test_contradictory_table_exits_1(tmp_path):
