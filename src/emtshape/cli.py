@@ -25,8 +25,8 @@ with seed 0, and ``--seed`` needs a variance.  ``reconstruct`` rejects
 ``--noise-var`` and ``--seed``, and its help does not list them, since its
 table document records its own noise; it still accepts a config's ``noise``
 block, because forward and reconstruct share config files.  It inverts at
-the smaller of the config's ``order`` and the table's order, which
-``shape_estimate.json`` does not record.  The recovered and the true
+the smaller of the config's ``order`` and the table's order, which is the
+number of ``coeffs`` in ``shape_estimate.json``.  The recovered and the true
 boundary are compared at THETA_SAMPLES parameters.  Exit codes: 0 success,
 1 numerical failure (a table, exact or noisy, that is not finite is one), 2
 configuration error (an output directory that cannot be created or an output

@@ -19,14 +19,14 @@ orthogonality constraints on phi.
 
 The system is filled in the Fortran order LAPACK factors in, one panel of
 source nodes at a time, so no N x N piece of it is ever held: a panel has a
-fixed number of entries, so fewer sources as N grows, and every panel's
-pieces live in one workspace of fixed size, written into the system as soon
-as they exist.  The circulant columns and the derivative symbol depend on N
-alone and are built once per node count.  The dgesv of the LAPACK numpy
-links factors the system in place, its LU overwriting the system and the
-solutions the right-hand-side rows, so the system is held once per solve;
-np.linalg.solve, which copies it, runs only on builds where that symbol is
-not found.
+fixed number of entries, so fewer sources as N grows, and its pieces are
+its own arrays, written into the system as soon as they exist and freed
+with the panel, so the scratch beside the system is about 2.5 MiB at any N.
+The circulant columns and the derivative symbol depend on N alone and are
+built once per node count.  The dgesv of the LAPACK numpy links factors
+the system in place, its LU overwriting the system and the solutions the
+right-hand-side rows, so the system is held once per solve; np.linalg.solve,
+which copies it, runs only on builds where that symbol is not found.
 """
 
 from __future__ import annotations
@@ -133,58 +133,53 @@ def _log_quadrature_row(n: int) -> np.ndarray:
 # psi_l and phi_l.
 
 # a panel holds at most _PANEL_ENTRIES target-by-source entries, 128, 64, 32
-# and 16 sources at N = 128 to 1024, and its pieces and products live in one
-# workspace of _WORK such panels that every panel reuses, so the scratch
-# beside the system is 1 MiB, and one more panel for the spectral derivative,
-# at any N.  Half the entries assemble 8-15% slower at N = 128 to 1024; twice
-# as many save 1% up to N = 512 and 9% at 1024, for 1.4 MiB more at N = 512.
+# and 16 sources at N = 128 to 1024, and its pieces and their material-scaled
+# products are its own temporaries, so the assembly's peak RSS stays 2.2-2.6
+# MiB above the system at N = 128 to 512.  Half the entries assemble 7-13%
+# slower at N = 128 to 512, and twice as many are no faster (-4% to +8%).
+# Each panel's temporaries are freed with it, so where glibc hands the heap
+# top back between panels, as in a process that has only assembled at
+# N >= 512, every panel faults them in again: about 8,200 page faults and
+# 31 -> 50 ms per N = 512 assembly on a 2-core Xeon.
 _PANEL_ENTRIES = 16384
-_WORK = 4
-
-
-def _real_half(buf: np.ndarray) -> np.ndarray:
-    """A C-ordered real array of buf's shape on the first half of the memory
-    of the C-ordered complex buffer buf."""
-    return buf.view(float).reshape(-1)[: buf.size].reshape(buf.shape)
 
 
 def _write_real_linear(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     """Write u -> P u + Q conj(u) into the rows of A^T that hold Re u_l and
     Im u_l of the panel's sources, over the 2N equations (Re, Im) of the
-    targets.  p and q are P^T and Q^T, entry [l - lo, j].  Since
-    P u + Q conj(u) = (P + Q) Re u + i (P - Q) Im u, those rows are
-    P + Q and i (P - Q) with each complex entry viewed as its (Re, Im) pair,
-    computed straight into them; q is overwritten with P - Q."""
+    targets.  p and q are P^T and Q^T, entry [l - lo, j], and are left as
+    they are.  Since P u + Q conj(u) = (P + Q) Re u + i (P - Q) Im u, those
+    rows are P + Q and i (P - Q) with each complex entry viewed as its
+    (Re, Im) pair, computed straight into them."""
     np.add(p, q, out=rows[0::2].view(complex))
-    np.multiply(1j, np.subtract(p, q, out=q), out=rows[1::2].view(complex))
+    np.multiply(1j, p - q, out=rows[1::2].view(complex))
 
 
 def _single_layer_pieces(curve: BoundaryCurve, lo: int, hi: int,
-                         work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                         diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The curve-only pieces of the single-layer trace for the source nodes
     l = lo..hi-1, each a (hi - lo) x N array over the target nodes j, entry
-    [l - lo, j], held in buffers 1 and 2 of work (buffer 0 holds diff):
+    [l - lo, j] like that of diff = z_j - z_l:
 
     log    single-layer log kernel with its product quadrature weights
-    kern   (diff / conj(diff)) w, with diff = z_j - z_l
+    kern   (diff / conj(diff)) w
     """
-    n, z, dz, w = curve.n, curve.z, curve.dz, curve.weight
+    n, dz, w = curve.n, curve.dz, curve.weight
     log_col = _periodic_columns(n)[1]
     speed = np.abs(dz)
     src = slice(lo, hi)
     diag = (np.arange(hi - lo), np.arange(lo, hi))
-    diff = np.subtract(z[None, :], z[src, None], out=work[0])
 
     # log|diff| = log(2 |sin((theta_j - theta_l)/2)|) + smooth, with the
     # smooth part's diagonal limit log|dz_j|
-    log = np.abs(diff, out=_real_half(work[1]))
+    log = np.abs(diff)
     log[diag] = speed[src]
     np.log(log, out=log)
     log *= 2.0 * math.pi / n
     log += _circulant_rows(log_col, lo, hi)
     log *= (speed / (2.0 * math.pi))[src, None]
 
-    kern = np.conj(diff, out=work[2])
+    kern = np.conj(diff)
     with np.errstate(divide="ignore", invalid="ignore"):  # diagonal set below
         np.divide(diff, kern, out=kern)
     kern[diag] = (dz / np.conj(dz))[src]
@@ -192,87 +187,83 @@ def _single_layer_pieces(curve: BoundaryCurve, lo: int, hi: int,
     return log, kern
 
 
-def _cauchy_pieces(curve: BoundaryCurve, lo: int, hi: int, work: np.ndarray):
+def _cauchy_pieces(curve: BoundaryCurve, lo: int, hi: int,
+                   diff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The curve-only pieces of the traction operators for the source nodes
-    l = lo..hi-1, as (hi - lo) x N arrays (a, q) with entry [l - lo, j], a
-    held in buffer 2 of work and q in the array the inverse FFT returns
-    (buffer 0 holds diff, buffer 1 C and then D diag(v) diff): first the
-    exterior side's, then the interior side's built in place on the same two
-    arrays, so each must be used before the next is drawn.
+    l = lo..hi-1, (hi - lo) x N arrays a, q and dq with entry [l - lo, j]
+    like that of diff = z_j - z_l, a and q on the exterior side, and v of
+    the sources:
 
     a   A = diag(dz) C_ext, C_ext the exterior boundary values of the Cauchy
         integral C[g](z) = (1/2pi) int g/(z-zeta) dsigma; the interior
         A_int = A - i diag(|dz|) differs on the diagonal only
-    q   diag(dz) conj(C) + diff * (D conj(C)) for each side, with D the
-        spectral derivative and diff = z_j - z_l
+    q   diag(dz) conj(C_ext) + diff * (D conj(C_ext)), with D the spectral
+        derivative
+    dq  diff * (D diag(v)), v = i |dz| / conj(dz): since conj(C_int) =
+        conj(C_ext) + diag(v), the interior side's q is q + dq + diag(dz v)
     """
-    n, z, dz = curve.n, curve.z, curve.dz
+    n, dz = curve.n, curve.dz
     ik, _, cauchy_col, deriv_col = _periodic_columns(n)
     speed = np.abs(dz)
     src = slice(lo, hi)
     diag = (np.arange(hi - lo), np.arange(lo, hi))
-    diff = np.subtract(z[None, :], z[src, None], out=work[0])
 
     # C_ext = -i (-I/2 + pv) diag(|dz|/dz) with the principal value
     # pv = -(i/2) H - (i/N) ks: H is the periodic conjugation matrix and
     # ks = -dz_l/(z_j - z_l) - (1/2) cot((theta_l - theta_j)/2) the smooth
     # remainder of the Cauchy kernel, with diagonal limit z''/(2 z')
     with np.errstate(divide="ignore", invalid="ignore"):  # diagonal set below
-        c = np.divide((dz / n)[src, None], diff, out=work[1])
+        c = (dz / n)[src, None] / diff
     c[diag] = (0.5j - _spectral_derivative(dz, ik) / (2.0 * n * dz))[src]
     c += _circulant_rows(cauchy_col, lo, hi)
     c *= (speed / dz)[src, None]
-    a = np.multiply(dz, c, out=work[2])
+    a = dz * c
 
     np.conj(c, out=c)
     q = _spectral_derivative(c, ik)
     q *= diff
     q += np.multiply(dz, c, out=c)
-    # conj(C_int) = conj(C_ext) + diag(v), and D diag(v) is the circulant
-    # derivative matrix with scaled columns; it reuses the buffer of c
-    v = 1j * speed / np.conj(dz)
-    dv = np.multiply(_circulant_rows(deriv_col, lo, hi), v[src, None], out=c)
-    dv *= diff
-    yield a, q
-
-    a[diag] -= 1j * speed[src]
-    q += dv
-    q[diag] += (dz * v)[src]
-    yield a, q
+    # D diag(v) is the circulant derivative matrix with scaled columns
+    v = (1j * speed / np.conj(dz))[src]
+    dq = np.multiply(_circulant_rows(deriv_col, lo, hi), v[:, None], out=c)
+    dq *= diff
+    return a, q, dq, v
 
 
 def _write_panel(at: np.ndarray, curve: BoundaryCurve, mat: MaterialPair,
-                 lo: int, hi: int, work: np.ndarray) -> None:
+                 lo: int, hi: int) -> None:
     """Write the rows of A^T that hold psi_l and phi_l for the source nodes
-    l = lo..hi-1.  work holds the _WORK complex (hi - lo) x N buffers that
-    every panel reuses: buffer 0 holds z_j - z_l while the pieces form and
-    the material-scaled Q while they are written, 1 and 2 the pieces, 3 the
-    material-scaled P."""
-    n, w = curve.n, curve.weight[lo:hi]
+    l = lo..hi-1."""
+    n, dz, w = curve.n, curve.dz[lo:hi], curve.weight[lo:hi]
     k = mat.constants
     mu, mu_t = mat.background.mu, mat.inclusion.mu
     trace, traction = slice(0, 2 * n), slice(2 * n, 4 * n)
     psi, phi = at[2 * lo : 2 * hi], at[2 * (n + lo) : 2 * (n + hi)]
 
-    log, kern = _single_layer_pieces(curve, lo, hi, work)
-    p, q = _real_half(work[3]), work[0]
+    diff = curve.z[None, :] - curve.z[lo:hi, None]  # z_j - z_l, read by both pieces
+    log, kern = _single_layer_pieces(curve, lo, hi, diff)
     for rows, alpha, beta in ((psi, k.alpha_tilde, k.beta_tilde), (phi, -k.alpha, -k.beta)):
         # S[u]|: P = alpha log + c 1 w^T is real and Q = c kern, c = -beta / 4 pi
         c = -beta / (4.0 * math.pi)
-        np.multiply(alpha, log, out=p)
+        p = alpha * log
         p += (c * w)[:, None]
-        _write_real_linear(rows[:, trace], p, np.multiply(c, kern, out=q))
+        _write_real_linear(rows[:, trace], p, c * kern)
 
-    # phi sees the exterior side of the Cauchy pieces, psi the interior
-    sides = ((phi, -mu * k.alpha, -mu * k.beta),
-             (psi, mu_t * k.alpha_tilde, mu_t * k.beta_tilde))
-    p = work[3]
-    for (rows, alpha, beta), (a, q_side) in zip(sides, _cauchy_pieces(curve, lo, hi, work)):
+    # phi sees the exterior side of the Cauchy pieces; psi the interior,
+    # derived from them in place once phi's rows are written
+    a, q, dq, v = _cauchy_pieces(curve, lo, hi, diff)
+    diag = (np.arange(hi - lo), np.arange(lo, hi))
+    for rows, alpha, beta in ((phi, -mu * k.alpha, -mu * k.beta),
+                              (psi, mu_t * k.alpha_tilde, mu_t * k.beta_tilde)):
+        if rows is psi:
+            a[diag] -= 1j * np.abs(dz)
+            q += dq
+            q[diag] += dz * v
         # dG/dtheta of S[u]|, traction * dsigma = -2 i mu (dG/dtheta) dtheta:
         # P = (beta/2) A - (alpha/2) conj(A) and Q = (beta/2) q
-        np.multiply(0.5 * beta, a, out=p)
-        p -= np.multiply(0.5 * alpha, np.conj(a, out=q), out=q)
-        _write_real_linear(rows[:, traction], p, np.multiply(0.5 * beta, q_side, out=q))
+        p = 0.5 * beta * a
+        p -= np.multiply(0.5 * alpha, np.conj(a))
+        _write_real_linear(rows[:, traction], p, 0.5 * beta * q)
 
 
 def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:
@@ -284,10 +275,8 @@ def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:
     # row r of at is the column of unknown r; its columns are the equations
     at = np.zeros((4 * n + 3, 4 * n + 3))
     height = min(n, max(1, _PANEL_ENTRIES // n))
-    work = np.empty((_WORK, height, n), dtype=complex)
     for lo in range(0, n, height):
-        hi = min(lo + height, n)
-        _write_panel(at, curve, mat, lo, hi, work[:, : hi - lo])
+        _write_panel(at, curve, mat, lo, min(lo + height, n))
 
     # slack columns on the traction rows: the constants 1 and i and the
     # dilation field z.  The rows are written in dG/dtheta variables, so
@@ -372,7 +361,7 @@ def solve_densities(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
     shape (fields, N), views of the solved rows."""
     n = curve.n
     a = _assemble(curve, mat)
-    b = _rhs(curve, h, traction)  # after the assembly, so not held beside its scratch
+    b = _rhs(curve, h, traction)  # after the assembly, so not beside a panel's temporaries
     _solve_in_place(a, b)
     densities = b[:, : 4 * n].view(complex)
     return densities[:, :n], densities[:, n:]

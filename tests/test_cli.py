@@ -135,6 +135,24 @@ def test_forward_then_reconstruct(tmp_path):
     assert not (tmp_path / "rec" / "report.json").exists()
 
 
+def test_reconstruct_inverts_at_most_the_table_order(tmp_path):
+    # the README config's order-6 table inverted at --order 12 gives the
+    # order-6 estimate, whose coeffs list records the order inverted at
+    write_config(tmp_path / "config.json", order=6, nodes=256,
+                 shape={"kind": "starfish", "center": [0.0, 0.0],
+                        "modeAmplitude": 0.125, "modeIndex": 5})
+    config = str(tmp_path / "config.json")
+    assert cli.main(["forward", config, "--out", str(tmp_path / "fwd")]) == 0
+    table = str(tmp_path / "fwd" / "emt_table.json")
+    for order in ("6", "12"):
+        argv = ["reconstruct", config, table, "--order", order, "--out", str(tmp_path / order)]
+        assert cli.main(argv) == 0
+    estimate = json.loads((tmp_path / "12" / "shape_estimate.json").read_text())
+    assert len(estimate["coeffs"]) == 6
+    for name in ("shape_estimate.json", "boundary.csv", "overlay.svg"):
+        assert (tmp_path / "12" / name).read_bytes() == (tmp_path / "6" / name).read_bytes()
+
+
 def test_flag_overrides(tmp_path):
     write_config(tmp_path / "config.json")
     result = run_cli("forward", "config.json", "--order", "2", "--nodes", "32",
