@@ -295,7 +295,7 @@ def cmd_roundtrip(config: RunConfig) -> dict:
         "nodes": config.nodes,
         "noise": provenance_to_json(table.provenance),
         "estimate": shape_estimate_to_json(estimate),
-        "error": {"hausdorff": err.hausdorff, "radialL2": err.radial_l2},
+        "error": {"hausdorff": err.hausdorff},
     }
     _write_json(config.output_dir / "emt_table.json", table_to_json(table))
     _write_json(config.output_dir / "report.json", report)

@@ -97,9 +97,9 @@ class PerturbedDisk:
     """a0 + radius * e^{i theta} * (1 + 2 Re{sum_k coeffs[k] e^{i k theta}}).
 
     ``coefficients[k]`` is the (already epsilon-scaled) k-th complex mode of
-    the radial perturbation, k = 0, 1, ...; this is the class the
-    reconstruction produces, and ``reconstruct.reconstruct_curve`` samples
-    an estimate through its modes.
+    the radial perturbation, k = 0, 1, ...; this is the curve a
+    reconstruction estimates, and ``reconstruct.reconstruct_curve`` folds
+    an estimate's modes in the order ``modes`` lists them.
     """
 
     center: complex

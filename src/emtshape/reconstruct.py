@@ -18,7 +18,7 @@ import numpy as np
 
 from .disk import disk_modified_emt, recentering_matrix
 from .emt import EmtTable
-from .geometry import BoundaryCurve, PerturbedDisk, fourier_series
+from .geometry import BoundaryCurve
 from .materials import MaterialPair
 
 __all__ = [
@@ -69,7 +69,6 @@ class ShapeEstimate:
 @dataclass(frozen=True)
 class ShapeError:
     hausdorff: float
-    radial_l2: float
 
 
 def estimate_disk(table: EmtTable, mat: MaterialPair) -> DiskEstimate:
@@ -119,9 +118,9 @@ def deltas(modified: np.ndarray, gamma: float, mat: MaterialPair) -> np.ndarray:
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     order = modified.shape[0]
-    out = np.array(modified, dtype=float)
-    diag = np.arange(order)
-    out[diag, diag] -= np.multiply.outer(disk_modified_emt(mat, gamma, order), np.eye(2))
+    # C order makes reshape a view; (n, n, t, t) is entry 0 or 3 of block (n, n)
+    out = np.array(modified, dtype=float, order="C")
+    out.reshape(-1, 4)[:: order + 1, ::3] -= disk_modified_emt(mat, gamma, order)[:, None]
     return out
 
 
@@ -130,9 +129,9 @@ def fourier_coefficients(delta: np.ndarray, gamma: float,
     """eps*h_k for k = 0..order-1 from the (n, m) = (k+1, 1) channel, where
     order = delta.shape[0].
 
-    With D^{(t,s)} = delta[n-1, m-1, t-1, s-1], the first channel is
-    D^{(1,1)} + D^{(2,2)} - i (D^{(1,2)} - D^{(2,1)}) and the second
-    D^{(1,1)} - D^{(2,2)} + i (D^{(1,2)} + D^{(2,1)}).
+    With D^{(t,s)} = delta[n-1, m-1, t-1, s-1] and c_t = D^{(t,1)} + i D^{(t,2)},
+    the first channel is conj(c_1 - i c_2) = D^{(1,1)} + D^{(2,2)} - i (D^{(1,2)}
+    - D^{(2,1)}) and the second c_1 + i c_2.
 
     Returns (coeffs, diagnostics); diagnostics carries the discarded
     imaginary part of h_0 ("h0Imag") and the second-channel consistency
@@ -152,24 +151,23 @@ def fourier_coefficients(delta: np.ndarray, gamma: float,
     m1, m2 = mat.constants.m1, mat.constants.m2
     order = delta.shape[0]
     n = np.arange(1, order + 1)  # (n, m) = (k + 1, 1)
-    d1 = delta[:, 0]
-    first = d1[:, 0, 0] + d1[:, 1, 1] - 1j * (d1[:, 0, 1] - d1[:, 1, 0])
+    c = np.ascontiguousarray(delta, dtype=float).view(complex)[..., 0]
+    first = np.conj(c[:, 0, 0] - 1j * c[:, 0, 1])
     coeffs = first / (16.0 * math.pi * n * gamma ** (n + 1) * mu_gap * m1)
     h0_imag = float(coeffs[0].imag)
     coeffs[0] = coeffs[0].real
 
     # with M2 = 0 the second channel carries no data: order 0 gives no rows
     nn, mm, k = _second_channel_index(order if m2 != 0.0 else 0)
-    d = delta[nn - 1, mm - 1]
-    second = d[:, 0, 0] - d[:, 1, 1] + 1j * (d[:, 0, 1] + d[:, 1, 0])
+    pairs = c[nn - 1, mm - 1]
+    second = pairs[:, 0] + 1j * pairs[:, 1]
     denom = 16.0 * math.pi * nn * mm * gamma ** (nn + mm) * mu_gap * m1 * m2
     value = second / denom
     gap = np.abs(value - coeffs[k])
     value.setflags(write=False)
     gap.setflags(write=False)
-    second_channel = {"n": nn, "m": mm, "k": k, "value": value, "firstChannelGap": gap}
-    diagnostics = {"h0Imag": h0_imag, "secondChannel": second_channel}
-    return coeffs, diagnostics
+    return coeffs, {"h0Imag": h0_imag, "secondChannel": {
+        "n": nn, "m": mm, "k": k, "value": value, "firstChannelGap": gap}}
 
 
 @functools.cache
@@ -211,63 +209,65 @@ def reconstruct(table: EmtTable, mat: MaterialPair,
 
 
 def reconstruct_curve(est: ShapeEstimate, theta_samples: int) -> np.ndarray:
-    """Boundary samples a0 + gamma e^{i theta} (1 + 2 Re sum eps*h_k e^{ik theta}):
-    the estimate's PerturbedDisk at theta_j = 2 pi j / theta_samples.  It
-    skips the checks of geometry.sample, since a noisy estimate need be
-    neither simple nor resolved by the sample count."""
+    """Boundary samples a0 + gamma e^{i theta} (1 + 2 Re sum eps*h_k e^{ik theta})
+    at theta_j = 2 pi j / theta_samples, without the checks of
+    geometry.sample: a noisy estimate need be neither simple nor resolved by
+    the sample count.  The modes fold into the slots of one inverse FFT in
+    the order of the estimate's PerturbedDisk.modes, so the samples are its
+    geometry.fourier_series bit for bit."""
     if theta_samples < 1:
         raise ValueError("theta_samples must be positive")
-    curve = PerturbedDisk(est.disk.a0, est.disk.gamma, tuple(est.coeffs))
-    return fourier_series(*curve.modes(), theta_samples)
+    gamma, coeffs = est.disk.gamma, est.coeffs
+    k = 1 + np.multiply.outer(np.arange(coeffs.size), (1, -1))
+    c = gamma * np.column_stack((coeffs, coeffs.conj()))
+    folded = np.zeros(theta_samples, dtype=complex)
+    folded[0] = est.disk.a0
+    folded[1 % theta_samples] += gamma
+    np.add.at(folded, k.ravel() % theta_samples, c.ravel())
+    return np.fft.ifft(folded, norm="forward")
 
 
 def shape_error(samples: np.ndarray, truth: BoundaryCurve,
                 center: complex) -> ShapeError:
-    """Symmetric discrete Hausdorff distance plus a radial L2 gap.
-
-    The Hausdorff distance is the exact max-of-min of |samples_i - truth_j|
-    (NaN if any distance is NaN), found without the full distance matrix
-    by _directed, run samples to truth and then truth to samples seeded
-    with the first maximum.  The radial metric treats both boundaries as
-    radial graphs about ``center`` and compares radii at the sample angles
-    by periodic linear interpolation.
-    """
+    """Symmetric discrete Hausdorff distance: the exact max-of-min of
+    |samples_i - truth_j| (NaN if any distance is NaN), found without the
+    full distance matrix by _directed, run samples to truth and then truth
+    to samples seeded with the first maximum.  ``center`` orders both sets
+    by angle for the search."""
     samples = np.asarray(samples, dtype=complex)
-    rel_s, rel_t = samples - center, truth.z - center
-    ang_s, ang_t = np.angle(rel_s), np.angle(rel_t)
-    by_s, by_t = np.argsort(ang_s), np.argsort(ang_t)
-    rel_t, ang_t = rel_t[by_t], ang_t[by_t]
-    s, t = (samples[by_s], ang_s[by_s]), (truth.z[by_t], ang_t)
-    hausdorff = _directed(*t, *s, _directed(*s, *t, 0.0))
-
-    ang_t = np.append(ang_t, ang_t[0] + 2.0 * math.pi)
-    rad_t = np.abs(np.append(rel_t, rel_t[0]))
-    interp = np.interp(np.mod(ang_s - ang_t[0], 2.0 * math.pi) + ang_t[0], ang_t, rad_t)
-    radial = float(np.sqrt(np.mean((np.abs(rel_s) - interp) ** 2)))
-    return ShapeError(hausdorff, radial)
+    ang_s, ang_t = np.angle(samples - center), np.angle(truth.z - center)
+    # a curve's angles come in long sorted runs, which timsort takes whole
+    by_s, by_t = np.argsort(ang_s, kind="stable"), np.argsort(ang_t, kind="stable")
+    s, t = (samples[by_s], ang_s[by_s]), (truth.z[by_t], ang_t[by_t])
+    return ShapeError(_directed(*t, *s, _directed(*s, *t, 0.0)))
 
 
 def _directed(p: np.ndarray, ang_p: np.ndarray,
               q: np.ndarray, ang_q: np.ndarray, best: float) -> float:
     """max(best, max_i min_j |p_i - q_j|) for point sets sorted by their
-    angles ang_p, ang_q about a common center; NaN when a point of p is.
+    angles ang_p, ang_q about a common center; NaN when a point is.
 
     Bound and verify (Taha & Hanbury, IEEE TPAMI 37(11), 2015): a point's
     distance to the nearest of its 7 angular neighbours in q bounds its
-    nearest distance from above.  Rows of p are resolved exactly in order
-    of decreasing bound, in batches of 1, 2, 4, 8 and then 16 rows, until
-    no bound left exceeds the largest exact row minimum or ``best``.  The
-    bound is mostly exact, so most inputs stop after one or two batches,
-    and a larger ``best`` prunes more.  Every value compared is an entry of
-    the dense matrix, so the result is bit-identical to the dense
-    max-of-min, and memory stays linear in the set sizes.
+    nearest distance from above.  The bound is mostly exact, so resolving
+    the row with the largest bound mostly settles the maximum; the rows
+    whose bound still exceeds it are then resolved, largest bound first, in
+    batches of 2, 4, 8 and then 16 rows.  A larger ``best`` prunes more.
+    Every value compared is an entry of the dense matrix, so the result is
+    bit-identical to the dense max-of-min, and memory stays linear in the
+    set sizes.
     """
     near = q.take(np.searchsorted(ang_q, ang_p) + np.arange(-3, 4)[:, None], mode="wrap")
     bound = np.abs(p - near).min(axis=0)
-    if np.isnan(bound).any():
+    top = bound.argmax()  # the first NaN if there is one
+    if math.isnan(bound[top]) or math.isnan(ang_q[-1]):  # NaN angles sort last
         return math.nan
-    visit = np.argsort(bound)[::-1]
-    start, size = 0, 1
+    if bound[top] > best:
+        best = max(best, float(np.abs(p[top] - q).min()))
+        bound[top] = best  # still a bound on its row, and now never above best
+    left = np.flatnonzero(bound > best)
+    visit = left[np.argsort(bound[left])[::-1]]
+    start, size = 0, 2
     while start < visit.size and bound[visit[start]] > best:
         rows = p[visit[start:start + size]]
         best = max(best, float(np.abs(rows[:, None] - q).min(axis=1).max()))

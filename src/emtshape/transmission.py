@@ -147,12 +147,12 @@ _PANEL_ENTRIES = 16384
 def _write_real_linear(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     """Write u -> P u + Q conj(u) into the rows of A^T that hold Re u_l and
     Im u_l of the panel's sources, over the 2N equations (Re, Im) of the
-    targets.  p and q are P^T and Q^T, entry [l - lo, j], and are left as
-    they are.  Since P u + Q conj(u) = (P + Q) Re u + i (P - Q) Im u, those
-    rows are P + Q and i (P - Q) with each complex entry viewed as its
-    (Re, Im) pair, computed straight into them."""
+    targets.  p and q are P^T and Q^T, entry [l - lo, j]; q is overwritten.
+    Since P u + Q conj(u) = (P + Q) Re u + i (P - Q) Im u, those rows are
+    P + Q and i (P - Q) with each complex entry viewed as its (Re, Im)
+    pair, computed straight into them, P - Q by way of q."""
     np.add(p, q, out=rows[0::2].view(complex))
-    np.multiply(1j, p - q, out=rows[1::2].view(complex))
+    np.multiply(1j, np.subtract(p, q, out=q), out=rows[1::2].view(complex))
 
 
 def _single_layer_pieces(curve: BoundaryCurve, lo: int, hi: int,

@@ -66,6 +66,7 @@ def test_roundtrip_outputs(tmp_path):
         assert (out / name).exists()
 
     report = json.loads((out / "report.json").read_text())
+    assert list(report["error"]) == ["hausdorff"]
     assert report["error"]["hausdorff"] < 0.01
     assert abs(complex(*report["estimate"]["a0"])) < 0.01
     assert report["estimate"]["gamma"] == pytest.approx(1.0, abs=0.01)

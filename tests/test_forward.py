@@ -191,7 +191,8 @@ def test_real_linear_writer_acts_on_interleaved_parts():
     p_before, q_before = p.copy(), q.copy()
     _write_real_linear(rows, p, q)
     assert np.allclose(rows.T @ u.view(float), expected.view(float), rtol=0.0, atol=1e-14)
-    assert np.array_equal(p, p_before) and np.array_equal(q, q_before)
+    # p is kept and q holds P - Q, the rows of Im u before their factor i
+    assert np.array_equal(p, p_before) and np.array_equal(q, p_before - q_before)
 
 
 # ---------------------------------------------------------------------------
