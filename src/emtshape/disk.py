@@ -16,6 +16,7 @@ import numpy as np
 from .materials import MaterialPair
 
 __all__ = [
+    "binomial_shift",
     "disk_modified_emt",
     "disk_emt_general",
     "disk_emt_table",
@@ -78,8 +79,7 @@ def recentering_matrix(order: int, a0: complex) -> np.ndarray:
     table E flattened the same way recenters as R(a0) E R(a0)^T, and
     R(a0) R(-a0) = I.
     """
-    comb, lag = _binomial_table(order)
-    u = comb * (complex(-a0) ** np.arange(order))[lag]
+    u = binomial_shift(order, a0)
     # t = 2 multiplies u by i: (Re u, Im u) -> (-Im u, Re u)
     r = np.empty((order, 2, order, 2))
     r[:, 0, :, 0] = u.real
@@ -87,6 +87,17 @@ def recentering_matrix(order: int, a0: complex) -> np.ndarray:
     r[:, 1, :, 0] = -u.imag
     r[:, 1, :, 1] = u.real
     return r.reshape(2 * order, 2 * order)
+
+
+def binomial_shift(order: int, a0: complex) -> np.ndarray:
+    """Lower-triangular complex u_nk = C(n,k) (-a0)^{n-k} for n, k = 1..order,
+    the coefficients of (z - a0)^n = (-a0)^n + sum_k u_nk z^k.
+
+    It is the one recentering map: recentering_matrix splits it into real
+    blocks, and the inversion recenters the table's complex channels with it
+    (reconstruct.modified_emts)."""
+    comb, lag = _binomial_table(order)
+    return comb * (complex(-a0) ** np.arange(order))[lag]
 
 
 @functools.cache

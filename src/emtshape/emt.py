@@ -106,9 +106,10 @@ def apply_noise(table: EmtTable, noise: NoiseModel) -> EmtTable:
     factors = 1.0 + rng.normal(0.0, math.sqrt(noise.sigma2), size=table.values.shape)
     with np.errstate(over="ignore"):  # a large table times a large factor
         values = table.values * factors
-    if not np.all(np.isfinite(values)):
-        raise SolverError(f"noisy order-{table.order} EMT table is not finite")
-    return EmtTable(table.order, values, noise)
+    try:
+        return EmtTable(table.order, values, noise)
+    except ValueError as exc:  # the only entries it can reject are not finite
+        raise SolverError(f"noisy order-{table.order} EMT table is not finite") from exc
 
 
 def noise_from_json(block, name: str) -> NoiseModel:

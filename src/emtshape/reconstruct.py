@@ -1,10 +1,11 @@
 """Two-step analytic inversion of contracted EMTs into a boundary estimate.
 
 Step 1 fits a disk D(a0, gamma) to the three leading entries.  Step 2
-recenters the table at a0 (binomial recombination), subtracts the exact
-disk values, and divides the resulting first-channel combinations by their
-known factors to read off the Fourier coefficients eps*h_k of the radial
-perturbation.  The product eps*h_k is never separated into factors.
+recenters the table's two complex channels at a0 (one binomial matrix),
+subtracts the exact disk's first channel, and divides the resulting
+first-channel column by its known factors to read off the Fourier
+coefficients eps*h_k of the radial perturbation.  The product eps*h_k is
+never separated into factors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import disk_modified_emt, recentering_matrix
+from .disk import binomial_shift, disk_modified_emt
 from .emt import EmtTable
 from .geometry import BoundaryCurve
 from .materials import MaterialPair
@@ -71,9 +72,10 @@ class ShapeError:
     hausdorff: float
 
 
-def estimate_disk(table: EmtTable, mat: MaterialPair) -> DiskEstimate:
-    """Disk whose E^{(1,1)}_{11}, E^{(1,1)}_{12}, E^{(1,2)}_{12} match the data."""
-    if table.order < 2:
+def estimate_disk(values: np.ndarray, mat: MaterialPair) -> DiskEstimate:
+    """Disk whose E^{(1,1)}_{11}, E^{(1,1)}_{12}, E^{(1,2)}_{12} match the data,
+    ``values`` indexed like EmtTable.values."""
+    if values.shape[0] < 2:
         raise InversionError("disk fit needs entries up to order 2")
     m0 = mat.constants.m0
     if m0 == 0.0:
@@ -81,7 +83,7 @@ def estimate_disk(table: EmtTable, mat: MaterialPair) -> DiskEstimate:
             "matched shear moduli (mu = mu~) make the leading EMT vanish; "
             "the disk radius is not identifiable from this data"
         )
-    ratio = float(table.values[0, 0, 0, 0]) / (2.0 * math.pi * m0)
+    ratio = float(values[0, 0, 0, 0]) / (2.0 * math.pi * m0)
     if ratio <= 0.0:
         raise InversionError(
             f"E^(1,1)_11 / M0 = {2.0 * math.pi * ratio:.6g} is not positive: "
@@ -91,47 +93,49 @@ def estimate_disk(table: EmtTable, mat: MaterialPair) -> DiskEstimate:
     gamma = math.sqrt(ratio)
     if not math.isfinite(gamma):
         raise InversionError(f"the disk radius overflows for M0 = {m0:.6g}")
-    a0 = (float(table.values[0, 1, 0, 0]) - 1j * float(table.values[0, 1, 0, 1])) / (
+    a0 = (float(values[0, 1, 0, 0]) - 1j * float(values[0, 1, 0, 1])) / (
         4.0 * math.pi * gamma**2 * m0
     )
     return DiskEstimate(a0, gamma)
 
 
-def modified_emts(table: EmtTable, a0: complex) -> np.ndarray:
-    """Recenter the table at a0, keeping the (n, m, t, s) indexing of
-    EmtTable.values.
+def modified_emts(values: np.ndarray, a0: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The table's complex channels recentered at a0: the first-channel
+    column F'_{n1} and the second channel S'_{nm}, n, m = 1..order, of
+    ``values`` indexed like EmtTable.values (order = values.shape[0]).
 
-    With rows (n, t) and columns (m, s) flattened to 2(n-1) + (t-1), the
-    recentered table is the real congruence R(a0) E R(a0)^T, where
-    R = disk.recentering_matrix expands conj(q_t (z - a0)^n) in the
-    origin-based fields.
+    At each (n, m) the channels are F = E^{11} + E^{22} - i (E^{12} - E^{21})
+    and S = E^{11} - E^{22} + i (E^{12} + E^{21}), so the table is the real
+    bilinear form Re(conj(S) a b + conj(F) a conj(b)) / 2 of the fields'
+    complex coefficients a, b.  The real congruence R(a0) E R(a0)^T of
+    disk.recentering_matrix is then F' = conj(u) F u^T and
+    S' = conj(u) S u^H with u = disk.binomial_shift(order, a0); the first
+    row of u is (1, 0, ..., 0), so F'_{n1} is the one product conj(u) F_{k1}.
     """
-    order = table.order
-    r = recentering_matrix(order, a0)
-    e = table.values.transpose(0, 2, 1, 3).reshape(2 * order, 2 * order)
-    return (r @ e @ r.T).reshape(order, 2, order, 2).transpose(0, 2, 1, 3)
+    u = binomial_shift(values.shape[0], a0)
+    c = values.view(complex)[..., 0]  # c[n, m, t] = E^{(t,1)} + i E^{(t,2)}
+    first = np.conj(u @ (c[:, 0, 0] - 1j * c[:, 0, 1]))
+    second = np.conj(u) @ (c[..., 0] + 1j * c[..., 1]) @ u.T.conj()
+    return first, second
 
 
-def deltas(modified: np.ndarray, gamma: float, mat: MaterialPair) -> np.ndarray:
-    """Data-minus-disk gaps Delta^{(t,s)}_{nm} feeding the Fourier formulas:
-    the recentered table minus the diagonal centered disk table."""
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    order = modified.shape[0]
-    # C order makes reshape a view; (n, n, t, t) is entry 0 or 3 of block (n, n)
-    out = np.array(modified, dtype=float, order="C")
-    out.reshape(-1, 4)[:: order + 1, ::3] -= disk_modified_emt(mat, gamma, order)[:, None]
+def deltas(first: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Data-minus-disk gaps of the recentered first-channel column F'_{n1}.
+
+    The centered disk's channels are F = 2 diag(moments) and S = 0, where
+    moments = disk_modified_emt is its table's diagonal, so only F'_{11}
+    moves, and the second channel's gaps are S' itself."""
+    out = first.copy()
+    out[0] -= 2.0 * moments[0]
     return out
 
 
-def fourier_coefficients(delta: np.ndarray, gamma: float,
+def fourier_coefficients(gaps: np.ndarray, second: np.ndarray, gamma: float,
                          mat: MaterialPair) -> tuple[np.ndarray, dict]:
-    """eps*h_k for k = 0..order-1 from the (n, m) = (k+1, 1) channel, where
-    order = delta.shape[0].
-
-    With D^{(t,s)} = delta[n-1, m-1, t-1, s-1] and c_t = D^{(t,1)} + i D^{(t,2)},
-    the first channel is conj(c_1 - i c_2) = D^{(1,1)} + D^{(2,2)} - i (D^{(1,2)}
-    - D^{(2,1)}) and the second c_1 + i c_2.
+    """eps*h_k for k = 0..order-1 from the first-channel gaps at (n, m) =
+    (k + 1, 1) (``gaps`` from deltas, order = gaps.size), and the
+    second-channel consistency values from the recentered second channel
+    ``second`` (order x order, from modified_emts).
 
     Returns (coeffs, diagnostics); diagnostics carries the discarded
     imaginary part of h_0 ("h0Imag") and the second-channel consistency
@@ -149,20 +153,16 @@ def fourier_coefficients(delta: np.ndarray, gamma: float,
             "matched shear moduli (mu = mu~): both channel denominators vanish"
         )
     m1, m2 = mat.constants.m1, mat.constants.m2
-    order = delta.shape[0]
-    n = np.arange(1, order + 1)  # (n, m) = (k + 1, 1)
-    c = np.ascontiguousarray(delta, dtype=float).view(complex)[..., 0]
-    first = np.conj(c[:, 0, 0] - 1j * c[:, 0, 1])
-    coeffs = first / (16.0 * math.pi * n * gamma ** (n + 1) * mu_gap * m1)
+    order = gaps.shape[0]
+    n = np.arange(1, order + 1)
+    coeffs = gaps / (16.0 * math.pi * n * gamma ** (n + 1) * mu_gap * m1)
     h0_imag = float(coeffs[0].imag)
     coeffs[0] = coeffs[0].real
 
     # with M2 = 0 the second channel carries no data: order 0 gives no rows
     nn, mm, k = _second_channel_index(order if m2 != 0.0 else 0)
-    pairs = c[nn - 1, mm - 1]
-    second = pairs[:, 0] + 1j * pairs[:, 1]
     denom = 16.0 * math.pi * nn * mm * gamma ** (nn + mm) * mu_gap * m1 * m2
-    value = second / denom
+    value = second[nn - 1, mm - 1] / denom
     gap = np.abs(value - coeffs[k])
     value.setflags(write=False)
     gap.setflags(write=False)
@@ -191,16 +191,20 @@ def reconstruct(table: EmtTable, mat: MaterialPair,
         order = table.order
     if not 1 <= order <= table.order:
         raise ValueError(f"order must lie in 1..{table.order}")
-    sub = (table if order == table.order
-           else EmtTable(order, table.values[:order, :order], table.provenance))
-    disk = estimate_disk(sub, mat)
+    values = table.values[:order, :order]
+    disk = estimate_disk(values, mat)
     # overflow shows up as inf or nan, which the one check below catches
     with np.errstate(all="ignore"):
-        gaps = deltas(modified_emts(sub, disk.a0), disk.gamma, mat)
-        coeffs, diagnostics = fourier_coefficients(gaps, disk.gamma, mat)
-    # a second-channel value is finite when its gap to a finite coefficient is
-    finite = (cmath.isfinite(disk.a0) and math.isfinite(diagnostics["h0Imag"])
-              and np.isfinite(gaps).all() and np.isfinite(coeffs).all()
+        first, second = modified_emts(values, disk.a0)
+        moments = disk_modified_emt(mat, disk.gamma, order)
+        coeffs, diagnostics = fourier_coefficients(deltas(first, moments), second,
+                                                   disk.gamma, mat)
+    # the quantities the estimate is read from: a coefficient is finite only
+    # if its gap is, and a second-channel value when its gap to a finite
+    # coefficient is
+    finite = (cmath.isfinite(disk.a0) and np.isfinite(moments).all()
+              and np.isfinite(second).all() and math.isfinite(diagnostics["h0Imag"])
+              and np.isfinite(coeffs).all()
               and np.isfinite(diagnostics["secondChannel"]["firstChannelGap"]).all())
     if not finite:
         raise InversionError("the inversion of this table overflows or is not finite "

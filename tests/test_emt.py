@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from emtshape.disk import disk_emt_table
+from emtshape.disk import disk_emt_table, recentering_matrix
 from emtshape.emt import (
     EmtTable,
     NoiseModel,
@@ -37,6 +39,58 @@ def test_symmetry_on_fourier_curve():
     table = emt_table(curve, SOFT, 4)
     swapped = table.values.transpose(1, 0, 3, 2)
     assert np.max(np.abs(table.values - swapped)) < 1e-8 * np.max(np.abs(table.values))
+
+
+def random_curve_coefficients(seed):
+    """Criterion 6's random smooth curve: modes -1..4, the unit mode +1 keeps it simple."""
+    rng = np.random.default_rng(seed)
+    modes = np.arange(-1, 5)
+    coeffs = (0.05 / (1.0 + np.abs(modes))) * (rng.normal(size=6) + 1j * rng.normal(size=6))
+    coeffs[2] = 1.0
+    return coeffs
+
+
+def curve_table(coeffs, mat):
+    return emt_table(sample(FourierCurve(tuple(coeffs), min_index=-1), 128), mat, 5).values
+
+
+@functools.cache
+def random_curve_table(seed, mat):
+    return curve_table(random_curve_coefficients(seed), mat)
+
+
+def channels(values):
+    """The complex channels F and S of a real table, entry by entry."""
+    e = lambda t, s: values[:, :, t - 1, s - 1]
+    return (e(1, 1) + e(2, 2) - 1j * (e(1, 2) - e(2, 1)),
+            e(1, 1) - e(2, 2) + 1j * (e(1, 2) + e(2, 1)))
+
+
+@pytest.mark.parametrize("law", ["rotation", "reflection", "translation"])
+@pytest.mark.parametrize("mat", [SOFT, STIFF])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rigid_motion_laws(seed, mat, law):
+    # every shape is its own oracle: the plane's rigid motions act on the
+    # table by exact laws, and the sampled nodes move with the curve
+    coeffs, table = random_curve_coefficients(seed), random_curve_table(seed, mat)
+    f, s = channels(table)
+    n, m = np.ogrid[1:6, 1:6]
+    if law == "rotation":  # z -> e^{i alpha} z
+        alpha = 0.7
+        got = channels(curve_table(np.exp(1j * alpha) * coeffs, mat))
+        want = np.exp(1j * (m - n) * alpha) * f, np.exp(-1j * (n + m + 2) * alpha) * s
+    elif law == "reflection":  # z -> conj(z), traversed counterclockwise
+        got = channels(curve_table(coeffs.conj(), mat))
+        want = f.conj(), s.conj()
+    else:  # z -> z + b, recentered back at b
+        b = 0.3 - 0.4j
+        moved = curve_table(coeffs + b * (np.arange(-1, 5) == 0), mat)
+        r = recentering_matrix(5, b)
+        back = r @ moved.transpose(0, 2, 1, 3).reshape(10, 10) @ r.T
+        got, want = (back.reshape(5, 2, 5, 2).transpose(0, 2, 1, 3),), (table,)
+    scale = np.abs(table).max()
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * scale
 
 
 def test_translation_invariance_of_leading_entry():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from emtshape.disk import disk_emt_table, disk_modified_emt
+from emtshape.disk import disk_emt_table, disk_modified_emt, recentering_matrix
 from emtshape.emt import EmtTable, NoiseModel, apply_noise, emt_table
 from emtshape.geometry import Disk, Ellipse, Kite, PerturbedDisk, Starfish, fourier_series, sample
 from emtshape.materials import LameConstants, MaterialPair
@@ -34,31 +34,46 @@ def exact_disk_table(mat, gamma, a0, order):
     return EmtTable(order, disk_emt_table(mat, gamma, a0, order))
 
 
+def recentered(values, a0):
+    """The reference recentering: the real congruence R(a0) E R(a0)^T of the
+    whole table, indexed like EmtTable.values."""
+    order = values.shape[0]
+    r = recentering_matrix(order, a0)
+    e = values.transpose(0, 2, 1, 3).reshape(2 * order, 2 * order)
+    return (r @ e @ r.T).reshape(order, 2, order, 2).transpose(0, 2, 1, 3)
+
+
+def channels(values):
+    """The complex channels F and S of a real table, entry by entry."""
+    e = lambda t, s: values[:, :, t - 1, s - 1]
+    return (e(1, 1) + e(2, 2) - 1j * (e(1, 2) - e(2, 1)),
+            e(1, 1) - e(2, 2) + 1j * (e(1, 2) + e(2, 1)))
+
+
 @pytest.mark.parametrize("mat", [SOFT, STIFF])
 @pytest.mark.parametrize("a0,gamma", [(0.0, 1.0), (-0.9 + 1.2j, 0.7), (0.4 - 0.3j, 1.3)])
 def test_estimate_disk_exact(mat, a0, gamma):
-    est = estimate_disk(exact_disk_table(mat, gamma, a0, 2), mat)
+    est = estimate_disk(disk_emt_table(mat, gamma, a0, 2), mat)
     assert abs(est.a0 - a0) < 1e-12
     assert abs(est.gamma - gamma) < 1e-12
 
 
 def test_estimate_disk_needs_order_two():
     with pytest.raises(InversionError, match="order 2"):
-        estimate_disk(EmtTable(1, np.zeros((1, 1, 2, 2))), SOFT)
+        estimate_disk(np.zeros((1, 1, 2, 2)), SOFT)
 
 
 def test_estimate_disk_rejects_matched_shear():
     pair = MaterialPair(LameConstants(1.5, 1.2), LameConstants(2.5, 1.2))
-    table = EmtTable(2, np.ones((2, 2, 2, 2)))
     with pytest.raises(InversionError, match="matched shear"):
-        estimate_disk(table, pair)
+        estimate_disk(np.ones((2, 2, 2, 2)), pair)
 
 
 def test_estimate_disk_rejects_contradictory_sign():
     # m0 < 0 for the soft pair, so a positive leading entry is impossible
     values = np.ones((2, 2, 2, 2))
     with pytest.raises(InversionError, match="not positive"):
-        estimate_disk(EmtTable(2, values), SOFT)
+        estimate_disk(values, SOFT)
 
 
 def _overflowing_values():
@@ -89,19 +104,22 @@ def test_disk_estimate_validation():
 
 def test_modified_emts_identity_at_origin():
     table = exact_disk_table(SOFT, 0.9, 0.3 - 0.2j, 4)
-    modified = modified_emts(table, 0.0)
-    assert np.allclose(modified, table.values, atol=1e-14)
+    first, second = modified_emts(table.values, 0.0)
+    f, s = channels(table.values)
+    assert np.allclose(first, f[:, 0], rtol=0.0, atol=1e-14)
+    assert np.allclose(second, s, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("mat", [SOFT, STIFF])
 def test_modified_emts_recenters_disk(mat):
     a0, gamma = -0.9 + 1.2j, 0.8
     table = exact_disk_table(mat, gamma, a0, 5)
-    modified = modified_emts(table, a0)
-    # the centered disk's table: its moment vector on the (n, n, t, t) diagonal
-    expected = np.einsum("nm,ts,n->nmts", np.eye(5), np.eye(2), disk_modified_emt(mat, gamma, 5))
-    scale = np.max(np.abs(expected))
-    assert np.max(np.abs(modified - expected)) < 1e-10 * scale
+    first, second = modified_emts(table.values, a0)
+    # the centered disk's own channels: F = 2 diag(moments), S = 0
+    moments = disk_modified_emt(mat, gamma, 5)
+    scale = np.max(np.abs(moments))
+    assert np.max(np.abs(first - [2.0 * moments[0], 0, 0, 0, 0])) < 1e-10 * scale
+    assert np.max(np.abs(second)) < 1e-10 * scale
 
 
 def test_modified_emts_against_naive_expansion():
@@ -110,9 +128,10 @@ def test_modified_emts_against_naive_expansion():
     order = 4
     table = EmtTable(order, rng.normal(size=(order, order, 2, 2)))
     a0 = 0.6 - 0.4j
-    modified = modified_emts(table, a0)
+    first, second = modified_emts(table.values, a0)
 
     q = (1.0, 1.0j)
+    naive = np.zeros((order, order, 2, 2))
     for n in (2, 4):
         for m in (1, 3):
             for t in (1, 2):
@@ -125,22 +144,29 @@ def test_modified_emts_against_naive_expansion():
                             for a, ca in ((1, u.real), (2, u.imag)):
                                 for b, cb in ((1, v.real), (2, v.imag)):
                                     acc += ca * cb * table.values[k - 1, l - 1, a - 1, b - 1]
-                    assert modified[n - 1, m - 1, t - 1, s - 1] == pytest.approx(
-                        acc, rel=1e-12, abs=1e-12)
+                    naive[n - 1, m - 1, t - 1, s - 1] = acc
+    f, s = channels(naive)
+    for n in (2, 4):
+        assert first[n - 1] == pytest.approx(f[n - 1, 0], rel=1e-12, abs=1e-12)
+        for m in (1, 3):
+            assert second[n - 1, m - 1] == pytest.approx(s[n - 1, m - 1], rel=1e-12, abs=1e-12)
 
 
 def test_deltas_vanish_on_exact_disk():
     a0, gamma = 0.5 + 0.1j, 1.1
     table = exact_disk_table(SOFT, gamma, a0, 4)
-    modified = modified_emts(table, a0)
-    gaps = deltas(modified, gamma, SOFT)
-    assert np.max(np.abs(gaps)) < 1e-10 * np.max(np.abs(table.values))
+    first, second = modified_emts(table.values, a0)
+    gaps = deltas(first, disk_modified_emt(SOFT, gamma, 4))
+    # the disk's second channel vanishes, so S' is its own gap
+    scale = np.max(np.abs(table.values))
+    assert np.max(np.abs(gaps)) < 1e-10 * scale
+    assert np.max(np.abs(second)) < 1e-10 * scale
 
 
 def test_fourier_coefficients_channel_validation():
     pair = MaterialPair(LameConstants(1.5, 1.2), LameConstants(2.5, 1.2))
     with pytest.raises(InversionError, match="matched shear"):
-        fourier_coefficients(np.zeros((2, 2, 2, 2)), 1.0, pair)
+        fourier_coefficients(np.zeros(2, complex), np.zeros((2, 2), complex), 1.0, pair)
 
 
 @pytest.mark.parametrize("mat", [SOFT, STIFF])
@@ -220,10 +246,10 @@ def kite_table():
 
 def test_inversion_is_translation_covariant():
     # the origin-based fields of the inclusion moved by b are R(-b) times
-    # its own, so its table is R(-b) E R(-b)^T: modified_emts at -b
+    # its own, so its table is R(-b) E R(-b)^T
     b = 0.3 - 0.4j
     est = reconstruct(kite_table(), SOFT)
-    moved = reconstruct(EmtTable(8, modified_emts(kite_table(), -b)), SOFT)
+    moved = reconstruct(EmtTable(8, recentered(kite_table().values, -b)), SOFT)
     assert abs(moved.disk.a0 - (est.disk.a0 + b)) <= 1e-12 * abs(est.disk.a0 + b)
     assert moved.disk.gamma == pytest.approx(est.disk.gamma, rel=1e-12)
     assert np.abs(moved.coeffs - est.coeffs).max() <= 1e-12 * np.abs(est.coeffs).max()
@@ -237,6 +263,58 @@ def test_inversion_is_reflection_covariant():
     assert mirrored.disk.a0 == est.disk.a0.conjugate()
     assert mirrored.disk.gamma == est.disk.gamma
     assert np.array_equal(mirrored.coeffs, est.coeffs.conj())
+
+
+# the refinement test set: five shapes centered at 0.2
+REFINEMENT_SHAPES = (Starfish(0.2, 0.125, 5), Ellipse(0.2, 1.2, 0.8), Starfish(0.2, 0.2, 3),
+                     Kite(0.2, 0.3), Kite(0.2, 0.65))
+
+
+@functools.cache
+def refinement_table(index, mat):
+    return emt_table(sample(REFINEMENT_SHAPES[index], 256), mat, 24)
+
+
+def reference_estimate(values, mat, order):
+    """Coefficients and second-channel values read from the whole real
+    recentered table minus the disk's diagonal, as the inversion reads them."""
+    values = values[:order, :order]
+    disk = estimate_disk(values, mat)
+    delta = recentered(values, disk.a0).copy()
+    diag = np.arange(order)
+    delta[diag, diag] -= disk_modified_emt(mat, disk.gamma, order)[:, None, None] * np.eye(2)
+    f, s = channels(delta)
+    factor = 16.0 * math.pi * (mat.inclusion.mu - mat.background.mu) * mat.constants.m1
+    n = np.arange(1, order + 1)
+    coeffs = f[:, 0] / (factor * n * disk.gamma ** (n + 1))
+    coeffs[0] = coeffs[0].real
+    second = [s[n - 1, m - 1] / (factor * mat.constants.m2 * n * m * disk.gamma ** (n + m))
+              for n in range(1, order + 1) for m in range(1, order + 1) if n + m + 2 <= order - 1]
+    return coeffs, np.array(second)
+
+
+@pytest.mark.parametrize("order,tol", [(6, 1e-12), (12, 1e-12), (24, 1e-9)])
+@pytest.mark.parametrize("sigma2", [0.0, 1e-4])
+@pytest.mark.parametrize("mat", [SOFT, STIFF])
+def test_channel_recentering_matches_real_reference(mat, sigma2, order, tol):
+    for index in range(len(REFINEMENT_SHAPES)):
+        table = refinement_table(index, mat)
+        if sigma2:
+            table = apply_noise(table, NoiseModel(sigma2, 7))
+        est = reconstruct(table, mat, order)
+        coeffs, second = reference_estimate(table.values, mat, order)
+        scale = np.abs(coeffs).max()
+        assert np.abs(est.coeffs - coeffs).max() <= tol * scale
+        assert np.abs(est.diagnostics["secondChannel"]["value"] - second).max() <= tol * scale
+
+
+@pytest.mark.parametrize("inclusion", [(1.8, 1.5), (1.0, 0.8), (0.6, 0.4)])
+def test_mirror_symmetric_kite_center_lies_on_its_axis(inclusion):
+    # criterion 3's kite is symmetric about Im z = 0.8, and the inversion is
+    # reflection-covariant, so exact data put a0 on that line
+    mat = MaterialPair(LameConstants(1.5, 1.2), LameConstants(*inclusion))
+    est = reconstruct(emt_table(sample(Kite(0.6 + 0.8j, 0.65), 256), mat, 2), mat)
+    assert abs(est.disk.a0.imag - 0.8) <= 1e-12
 
 
 @pytest.mark.parametrize("order", [2, 3, 5])
@@ -435,12 +513,10 @@ def test_shape_error_memory_is_subquadratic():
     assert 0.0 < err.hausdorff < 0.1
 
 
-def loop_second_channel(delta, coeffs, gamma, mat):
+def loop_second_channel(second, coeffs, gamma, mat):
     mu_gap = mat.inclusion.mu - mat.background.mu
     m1, m2 = mat.constants.m1, mat.constants.m2
-    order = delta.shape[0]
-    second = (delta[:, :, 0, 0] - delta[:, :, 1, 1]
-              + 1j * (delta[:, :, 0, 1] + delta[:, :, 1, 0]))
+    order = second.shape[0]
     out = []
     for n in range(1, order + 1):
         for m in range(1, order + 1):
@@ -459,11 +535,12 @@ def test_second_channel_matches_loop_reference(mat, shape, sigma2):
     table = emt_table(sample(SHAPES[shape], 128), mat, 24)
     if sigma2:
         table = apply_noise(table, NoiseModel(sigma2, 3))
-    disk = estimate_disk(table, mat)
-    delta = deltas(modified_emts(table, disk.a0), disk.gamma, mat)
-    coeffs, diagnostics = fourier_coefficients(delta, disk.gamma, mat)
+    disk = estimate_disk(table.values, mat)
+    first, second = modified_emts(table.values, disk.a0)
+    gaps = deltas(first, disk_modified_emt(mat, disk.gamma, 24))
+    coeffs, diagnostics = fourier_coefficients(gaps, second, disk.gamma, mat)
     got = diagnostics["secondChannel"]
-    want = loop_second_channel(delta, coeffs, disk.gamma, mat)
+    want = loop_second_channel(second, coeffs, disk.gamma, mat)
     assert got["k"].size == 210
     assert list(zip(got["n"].tolist(), got["m"].tolist(), got["k"].tolist())) == [
         w[:3] for w in want]
@@ -510,8 +587,8 @@ def test_second_channel_columns_empty_without_m2():
     # so beta = 0.0 and M2 = -0.0
     mat = MaterialPair(LameConstants(-0.9999999999999999, 1.0), LameConstants(0.0, 2.0))
     assert mat.constants.m2 == 0.0
-    delta = np.ones((24, 24, 2, 2))
-    coeffs, diagnostics = fourier_coefficients(delta, 1.0, mat)
+    coeffs, diagnostics = fourier_coefficients(np.ones(24, complex), np.ones((24, 24), complex),
+                                               1.0, mat)
     cols = diagnostics["secondChannel"]
     assert coeffs.size == 24
     assert [cols[name].size for name in SECOND_CHANNEL_COLUMNS] == [0] * 5
