@@ -20,13 +20,14 @@ orthogonality constraints on phi.
 The system is filled in the Fortran order LAPACK factors in, one panel of
 source nodes at a time, so no N x N piece of it is ever held: a panel has a
 fixed number of entries, so fewer sources as N grows, and its pieces are
-its own arrays, written into the system as soon as they exist and freed
-with the panel, so the scratch beside the system is about 2.5 MiB at any N.
-The circulant columns and the derivative symbol depend on N alone and are
-built once per node count.  The dgesv of the LAPACK numpy links factors
-the system in place, its LU overwriting the system and the solutions the
-right-hand-side rows, so the system is held once per solve; np.linalg.solve,
-which copies it, runs only on builds where that symbol is not found.
+written into the system as soon as they exist, in one scratch of a few
+panel-sized arrays that every panel refills and that is freed with the
+assembly, about 1.75 MiB beside the system at any N.  The circulant
+columns and the derivative symbol depend on N alone and are built once per
+node count.  The dgesv of the LAPACK numpy links factors the system in
+place, its LU overwriting the system and the solutions the right-hand-side
+rows, so the system is held once per solve; np.linalg.solve, which copies
+it, runs only on builds where that symbol is not found.
 """
 
 from __future__ import annotations
@@ -105,12 +106,13 @@ def _circulant_rows(col2: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(col2, n)[n - hi + 1 : n - lo + 1][::-1]
 
 
-def _spectral_derivative(f: np.ndarray, ik: np.ndarray) -> np.ndarray:
-    """d/dtheta of periodic nodal values along the last axis; ik is the
-    derivative symbol of _periodic_columns."""
-    f_hat = np.fft.fft(f, axis=-1)
+def _spectral_derivative(f: np.ndarray, ik: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """d/dtheta of periodic nodal values along the last axis, in out if
+    given; ik is the derivative symbol of _periodic_columns."""
+    f_hat = np.fft.fft(f, axis=-1, out=out)
     f_hat *= ik
-    return np.fft.ifft(f_hat, axis=-1)
+    return np.fft.ifft(f_hat, axis=-1, out=f_hat)
 
 
 def _log_quadrature_row(n: int) -> np.ndarray:
@@ -123,24 +125,24 @@ def _log_quadrature_row(n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # assembly.  Every operator below is real-linear, u -> P u + Q conj(u), with
-# P and Q material scalars times the curve-only pieces of _single_layer_pieces
-# and _cauchy_pieces, so the materials only scale them.  Unknowns and
-# equations interleave the real and imaginary parts node by node: the unknowns
-# are (Re psi_0, Im psi_0, Re psi_1, ..., Re phi_0, Im phi_0, ..., three
-# slacks), the equations (trace, traction, three constraints) in the same way.
-# A^T is filled in C order, which is A in the Fortran order LAPACK factors in:
-# the pieces of one panel of source nodes l give the rows of A^T that hold
-# psi_l and phi_l.
+# P and Q material scalars times curve-only pieces, so the materials only
+# scale them.  Unknowns and equations interleave the real and imaginary parts
+# node by node: the unknowns are (Re psi_0, Im psi_0, Re psi_1, ..., Re phi_0,
+# Im phi_0, ..., three slacks), the equations (trace, traction, three
+# constraints) in the same way.  A^T is filled in C order, which is A in the
+# Fortran order LAPACK factors in: the pieces of one panel of source nodes l
+# give the rows of A^T that hold psi_l and phi_l.
 
 # a panel holds at most _PANEL_ENTRIES target-by-source entries, 128, 64, 32
-# and 16 sources at N = 128 to 1024, and its pieces and their material-scaled
-# products are its own temporaries, so the assembly's peak RSS stays 2.2-2.6
-# MiB above the system at N = 128 to 512.  Half the entries assemble 7-13%
-# slower at N = 128 to 512, and twice as many are no faster (-4% to +8%).
-# Each panel's temporaries are freed with it, so where glibc hands the heap
-# top back between panels, as in a process that has only assembled at
-# N >= 512, every panel faults them in again: about 8,200 page faults and
-# 31 -> 50 ms per N = 512 assembly on a 2-core Xeon.
+# and 16 sources at N = 128 to 1024, and every panel refills one scratch of
+# six complex and two real panels, 1.75 MiB beside the system at any N, that
+# lives and dies with the assembly, so a panel allocates and faults in no
+# large array.  kern's panel becomes c's once the trace rows are written:
+# seven, one role each, put the scratch and the N = 128 system past glibc's
+# trim threshold, twice the system, so every assembly faulted both in again
+# and ran 1.5-2x slower.  Half the entries assemble 6-8% slower at
+# N = 128 to 512, and twice as many are no faster (-5% and +4% at N = 256
+# and 512).
 _PANEL_ENTRIES = 16384
 
 
@@ -155,128 +157,111 @@ def _write_real_linear(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     np.multiply(1j, np.subtract(p, q, out=q), out=rows[1::2].view(complex))
 
 
-def _single_layer_pieces(curve: BoundaryCurve, lo: int, hi: int,
-                         diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The curve-only pieces of the single-layer trace for the source nodes
-    l = lo..hi-1, each a (hi - lo) x N array over the target nodes j, entry
-    [l - lo, j] like that of diff = z_j - z_l:
+def _write_panel(at: np.ndarray, curve: BoundaryCurve, mat: MaterialPair, lo: int, hi: int,
+                 limits: tuple[np.ndarray, ...], work: np.ndarray, real: np.ndarray) -> None:
+    """Write the rows of A^T that hold psi_l and phi_l for the source nodes
+    l = lo..hi-1.  limits are the per-node arrays of _assemble; work and
+    real are the scratch's complex and real (hi - lo) x N buffers, all
+    entries [l - lo, j] over the target nodes j, so nothing of panel size
+    is allocated here.  The curve-only pieces, with diff = z_j - z_l:
 
     log    single-layer log kernel with its product quadrature weights
     kern   (diff / conj(diff)) w
+    a      A = diag(dz) C_ext, C_ext the exterior boundary values of the
+           Cauchy integral C[g](z) = (1/2pi) int g/(z-zeta) dsigma; the
+           interior A_int = A - i diag(|dz|) differs on the diagonal only
+    q      diag(dz) conj(C_ext) + diff * (D conj(C_ext)), with D the
+           spectral derivative
+    dq     diff * (D diag(v)), v = i |dz| / conj(dz): since conj(C_int) =
+           conj(C_ext) + diag(v), the interior side's q is q + dq + diag(dz v)
     """
-    n, dz, w = curve.n, curve.dz, curve.weight
-    log_col = _periodic_columns(n)[1]
-    speed = np.abs(dz)
-    src = slice(lo, hi)
+    n, z, dz, w = curve.n, curve.z, curve.dz, curve.weight[lo:hi]
+    ik, log_col, cauchy_col, deriv_col = _periodic_columns(n)
+    speed, kern_diag, cauchy_diag, v = (x[lo:hi] for x in limits)
     diag = (np.arange(hi - lo), np.arange(lo, hi))
+    diff, c, a, q, p, t = work
+    kern = c  # done with before c is written
+    log, p_real = real
+    k = mat.constants
+    mu, mu_t = mat.background.mu, mat.inclusion.mu
+    trace, traction = slice(0, 2 * n), slice(2 * n, 4 * n)
+    psi, phi = at[2 * lo : 2 * hi], at[2 * (n + lo) : 2 * (n + hi)]
+    np.subtract(z[None, :], z[lo:hi, None], out=diff)
 
     # log|diff| = log(2 |sin((theta_j - theta_l)/2)|) + smooth, with the
     # smooth part's diagonal limit log|dz_j|
-    log = np.abs(diff)
-    log[diag] = speed[src]
+    np.abs(diff, out=log)
+    log[diag] = speed
     np.log(log, out=log)
     log *= 2.0 * math.pi / n
     log += _circulant_rows(log_col, lo, hi)
-    log *= (speed / (2.0 * math.pi))[src, None]
+    log *= (speed / (2.0 * math.pi))[:, None]
 
-    kern = np.conj(diff)
+    np.conj(diff, out=kern)
     with np.errstate(divide="ignore", invalid="ignore"):  # diagonal set below
         np.divide(diff, kern, out=kern)
-    kern[diag] = (dz / np.conj(dz))[src]
-    kern *= w[src, None]
-    return log, kern
-
-
-def _cauchy_pieces(curve: BoundaryCurve, lo: int, hi: int,
-                   diff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The curve-only pieces of the traction operators for the source nodes
-    l = lo..hi-1, (hi - lo) x N arrays a, q and dq with entry [l - lo, j]
-    like that of diff = z_j - z_l, a and q on the exterior side, and v of
-    the sources:
-
-    a   A = diag(dz) C_ext, C_ext the exterior boundary values of the Cauchy
-        integral C[g](z) = (1/2pi) int g/(z-zeta) dsigma; the interior
-        A_int = A - i diag(|dz|) differs on the diagonal only
-    q   diag(dz) conj(C_ext) + diff * (D conj(C_ext)), with D the spectral
-        derivative
-    dq  diff * (D diag(v)), v = i |dz| / conj(dz): since conj(C_int) =
-        conj(C_ext) + diag(v), the interior side's q is q + dq + diag(dz v)
-    """
-    n, dz = curve.n, curve.dz
-    ik, _, cauchy_col, deriv_col = _periodic_columns(n)
-    speed = np.abs(dz)
-    src = slice(lo, hi)
-    diag = (np.arange(hi - lo), np.arange(lo, hi))
+    kern[diag] = kern_diag
+    kern *= w[:, None]
+    for rows, alpha, beta in ((psi, k.alpha_tilde, k.beta_tilde), (phi, -k.alpha, -k.beta)):
+        # S[u]|: P = alpha log + g 1 w^T is real and Q = g kern, g = -beta / 4 pi
+        g = -beta / (4.0 * math.pi)
+        np.multiply(alpha, log, out=p_real)
+        p_real += (g * w)[:, None]
+        _write_real_linear(rows[:, trace], p_real, np.multiply(g, kern, out=t))
 
     # C_ext = -i (-I/2 + pv) diag(|dz|/dz) with the principal value
     # pv = -(i/2) H - (i/N) ks: H is the periodic conjugation matrix and
     # ks = -dz_l/(z_j - z_l) - (1/2) cot((theta_l - theta_j)/2) the smooth
     # remainder of the Cauchy kernel, with diagonal limit z''/(2 z')
     with np.errstate(divide="ignore", invalid="ignore"):  # diagonal set below
-        c = (dz / n)[src, None] / diff
-    c[diag] = (0.5j - _spectral_derivative(dz, ik) / (2.0 * n * dz))[src]
+        np.divide((dz[lo:hi] / n)[:, None], diff, out=c)
+    c[diag] = cauchy_diag
     c += _circulant_rows(cauchy_col, lo, hi)
-    c *= (speed / dz)[src, None]
-    a = dz * c
+    c *= (speed / dz[lo:hi])[:, None]
+    np.multiply(dz, c, out=a)
 
     np.conj(c, out=c)
-    q = _spectral_derivative(c, ik)
+    _spectral_derivative(c, ik, out=q)
     q *= diff
     q += np.multiply(dz, c, out=c)
     # D diag(v) is the circulant derivative matrix with scaled columns
-    v = (1j * speed / np.conj(dz))[src]
     dq = np.multiply(_circulant_rows(deriv_col, lo, hi), v[:, None], out=c)
     dq *= diff
-    return a, q, dq, v
-
-
-def _write_panel(at: np.ndarray, curve: BoundaryCurve, mat: MaterialPair,
-                 lo: int, hi: int) -> None:
-    """Write the rows of A^T that hold psi_l and phi_l for the source nodes
-    l = lo..hi-1."""
-    n, dz, w = curve.n, curve.dz[lo:hi], curve.weight[lo:hi]
-    k = mat.constants
-    mu, mu_t = mat.background.mu, mat.inclusion.mu
-    trace, traction = slice(0, 2 * n), slice(2 * n, 4 * n)
-    psi, phi = at[2 * lo : 2 * hi], at[2 * (n + lo) : 2 * (n + hi)]
-
-    diff = curve.z[None, :] - curve.z[lo:hi, None]  # z_j - z_l, read by both pieces
-    log, kern = _single_layer_pieces(curve, lo, hi, diff)
-    for rows, alpha, beta in ((psi, k.alpha_tilde, k.beta_tilde), (phi, -k.alpha, -k.beta)):
-        # S[u]|: P = alpha log + c 1 w^T is real and Q = c kern, c = -beta / 4 pi
-        c = -beta / (4.0 * math.pi)
-        p = alpha * log
-        p += (c * w)[:, None]
-        _write_real_linear(rows[:, trace], p, c * kern)
 
     # phi sees the exterior side of the Cauchy pieces; psi the interior,
     # derived from them in place once phi's rows are written
-    a, q, dq, v = _cauchy_pieces(curve, lo, hi, diff)
-    diag = (np.arange(hi - lo), np.arange(lo, hi))
     for rows, alpha, beta in ((phi, -mu * k.alpha, -mu * k.beta),
                               (psi, mu_t * k.alpha_tilde, mu_t * k.beta_tilde)):
         if rows is psi:
-            a[diag] -= 1j * np.abs(dz)
+            a[diag] -= 1j * speed
             q += dq
-            q[diag] += dz * v
+            q[diag] += dz[lo:hi] * v
         # dG/dtheta of S[u]|, traction * dsigma = -2 i mu (dG/dtheta) dtheta:
         # P = (beta/2) A - (alpha/2) conj(A) and Q = (beta/2) q
-        p = 0.5 * beta * a
-        p -= np.multiply(0.5 * alpha, np.conj(a))
-        _write_real_linear(rows[:, traction], p, 0.5 * beta * q)
+        np.multiply(0.5 * beta, a, out=p)
+        p -= np.multiply(0.5 * alpha, np.conj(a, out=t), out=t)
+        _write_real_linear(rows[:, traction], p, np.multiply(0.5 * beta, q, out=t))
 
 
 def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:
     """The real (4N+3) x (4N+3) system in Fortran order, the order LAPACK
     factors in: it is filled as A^T in C order, one panel of sources at a
     time, so no N x N piece is held."""
-    n, z, w = curve.n, curve.z, curve.weight
+    n, z, dz, w = curve.n, curve.z, curve.dz, curve.weight
 
     # row r of at is the column of unknown r; its columns are the equations
     at = np.zeros((4 * n + 3, 4 * n + 3))
     height = min(n, max(1, _PANEL_ENTRIES // n))
+    work, real = np.empty((6, height, n), dtype=complex), np.empty((2, height, n))
+    # |dz| and the diagonal limits of kern, of the Cauchy kernel and of the
+    # interior side's correction v, once per node
+    speed = np.abs(dz)
+    limits = (speed, dz / np.conj(dz),
+              0.5j - _spectral_derivative(dz, _periodic_columns(n)[0]) / (2.0 * n * dz),
+              1j * speed / np.conj(dz))
     for lo in range(0, n, height):
-        _write_panel(at, curve, mat, lo, min(lo + height, n))
+        hi = min(lo + height, n)
+        _write_panel(at, curve, mat, lo, hi, limits, work[:, : hi - lo], real[:, : hi - lo])
 
     # slack columns on the traction rows: the constants 1 and i and the
     # dilation field z.  The rows are written in dG/dtheta variables, so
@@ -361,7 +346,7 @@ def solve_densities(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
     shape (fields, N), views of the solved rows."""
     n = curve.n
     a = _assemble(curve, mat)
-    b = _rhs(curve, h, traction)  # after the assembly, so not beside a panel's temporaries
+    b = _rhs(curve, h, traction)  # after the assembly, so not beside its scratch
     _solve_in_place(a, b)
     densities = b[:, : 4 * n].view(complex)
     return densities[:, :n], densities[:, n:]

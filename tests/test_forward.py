@@ -397,26 +397,69 @@ print(rises[0], peak() - before)
 """
 
 
+def run_fresh(script, *args):
+    # the standard output of script run in a fresh interpreter on this source tree
+    src = str(Path(transmission.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB and dgesv exported")
 def test_solve_holds_the_system_once():
     # ru_maxrss is the process's high-water mark, so each solve runs alone in
-    # a fresh interpreter.  The assembly holds the system and one panel's
-    # temporaries, which rise about 2.5 MiB above the system at N = 128 and
-    # at N = 512 alike, so its rise is bounded on its own at both.  The LU's
-    # first call also faults in the BLAS buffers (about 8 MiB, by thread
-    # count and CPU), so the solve is bounded at N = 512 only, where a copy
-    # of the system for LAPACK would double the rise.
-    src = str(Path(transmission.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    # a fresh interpreter.  The assembly holds the system and its 1.75 MiB
+    # scratch, and rises 2.0-2.4 MiB above the system at N = 128 and at
+    # N = 512 alike, so its rise is bounded on its own at both.  The LU's first call also faults in
+    # the BLAS buffers (about 8 MiB, by thread count and CPU), so the solve
+    # is bounded at N = 512 only, where a copy of the system for LAPACK would
+    # double the rise.
     for n in (128, 512):
         size = 4 * n + 3
         system_kib = size * size * 8 / 1024
-        result = subprocess.run([sys.executable, "-c", SOLVE_PEAK, str(n)], capture_output=True,
-                                text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
-        assembled, solved = map(int, result.stdout.split())
+        assembled, solved = map(int, run_fresh(SOLVE_PEAK, str(n)).split())
         assert assembled < system_kib + 4096
         if n == 512:
             assert solved < 1.5 * system_kib
+
+
+ASSEMBLY_FAULTS = """
+import resource
+import numpy as np
+from emtshape.geometry import Kite, sample
+from emtshape.materials import LameConstants, MaterialPair
+from emtshape.transmission import _assemble
+
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+curve = sample(Kite(0.2, 0.65), 512)
+mat = MaterialPair(LameConstants(1.5, 1.2), LameConstants(1.8, 1.5))
+for _ in range(2):
+    _assemble(curve, mat)
+before = faults()
+_assemble(curve, mat)
+assembled = faults() - before
+before = faults()
+np.zeros((4 * 512 + 3,) * 2).fill(1.0)
+print(assembled, faults() - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts page faults")
+def test_assembly_faults_in_its_scratch_once():
+    # In a process that has only assembled at N >= 512, glibc hands the heap
+    # top back to the system whenever a large block is freed, so temporaries
+    # freed with each panel would be faulted in again for every panel, about
+    # 9,500 faults per N = 512 assembly beyond those of the system.  The
+    # scratch is one block per call, about 450 pages, that glibc serves
+    # again from its heap.  Filling a zeroed array of the system's size in
+    # the same process counts the system's own faults, transparent huge
+    # pages or not.
+    assembled, system = map(int, run_fresh(ASSEMBLY_FAULTS).split())
+    assert assembled - system <= 1024
 
 
 def test_density_real_linearity():
