@@ -29,7 +29,7 @@ def disk_modified_emt(mat: MaterialPair, gamma: float, order: int) -> np.ndarray
     n = 1..order: in the disk-centered fields E^{(t,s)}_{nm} is this value
     when n = m and t = s, and zero otherwise."""
     n = np.arange(1, order + 1)
-    return 2.0 * math.pi * mat.constants.m0 * n * gamma ** (2 * n)
+    return 2.0 * math.pi * mat.m0 * n * gamma ** (2 * n)
 
 
 def disk_emt_general(mat: MaterialPair, gamma: float, a0: complex, n: int, m: int,

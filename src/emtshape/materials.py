@@ -1,18 +1,19 @@
 """Material parameters and derived constants for plane elastostatics.
 
 Everything downstream (layer potentials, moment tensors, the inversion
-formulas) is driven by a handful of scalars derived from the two Lame pairs,
-so they are computed eagerly at construction and cached on the pair.
+formulas) is driven by a handful of scalars derived from the two Lame pairs.
+They are cached on first use outside the dataclass fields, so they take no
+part in ==, hash or repr.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "LameConstants",
-    "DerivedConstants",
     "MaterialPair",
 ]
 
@@ -24,6 +25,9 @@ class LameConstants:
     Requires finite values with mu > 0 and lam + mu > 0 (ellipticity of the
     plane Lame operator).
     The JSON key for ``lam`` is "lambda"; the Python name avoids the keyword.
+
+    alpha and beta weight the two kernels of the medium's fundamental
+    solution; alpha (lam+mu) == beta (lam+3mu) and alpha + beta == 1/mu.
     """
 
     lam: float
@@ -38,36 +42,13 @@ class LameConstants:
         if not self.lam + self.mu > 0:
             raise ValueError(f"need lam + mu > 0, got lam+mu={self.lam + self.mu}")
 
+    @cached_property
+    def alpha(self) -> float:
+        return 0.5 * (1.0 / self.mu + 1.0 / (2.0 * self.mu + self.lam))
 
-def _alpha_beta(mat: LameConstants) -> tuple[float, float]:
-    a = 0.5 * (1.0 / mat.mu + 1.0 / (2.0 * mat.mu + mat.lam))
-    b = 0.5 * (1.0 / mat.mu - 1.0 / (2.0 * mat.mu + mat.lam))
-    return a, b
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Scalars derived from a background/inclusion pair.
-
-    alpha, beta (and the inclusion analogues alpha_tilde, beta_tilde) weight
-    the two kernels of the fundamental solution.  m0, m1, m2 are the contrast
-    combinations the disk formulas and the inversion consume:
-
-        m0 = 2(mu~ - mu) / (mu~ alpha + mu beta)
-        m1 = 1 / (mu~ alpha + mu beta)
-        m2 = beta (mu - mu~) / (mu~ alpha + mu beta)
-
-    Identities: alpha (lam+mu) == beta (lam+3mu), m1 > 0,
-    sign(m0) == sign(mu~ - mu).
-    """
-
-    alpha: float
-    beta: float
-    alpha_tilde: float
-    beta_tilde: float
-    m0: float
-    m1: float
-    m2: float
+    @cached_property
+    def beta(self) -> float:
+        return 0.5 * (1.0 / self.mu - 1.0 / (2.0 * self.mu + self.lam))
 
 
 @dataclass(frozen=True)
@@ -77,15 +58,19 @@ class MaterialPair:
     Invariants: the pairs are not jointly identical, and the contrast is
     sign-consistent, (lam - lam~)(mu - mu~) >= 0.  Equal shear moduli are
     permitted (the forward problem is still well posed when only lam differs)
-    and show up downstream as ``constants.m0 == 0``; the reconstruction
-    refuses such pairs.
+    and give ``m0 == 0``, which the reconstruction refuses.
 
-    Derived constants are computed once here and cached as ``constants``.
+    m0, m1 and m2 are the contrast combinations the disk formulas and the
+    inversion consume, with alpha, beta those of the background (so m1 > 0
+    and sign(m0) == sign(mu~ - mu)):
+
+        m0 = 2(mu~ - mu) / (mu~ alpha + mu beta)
+        m1 = 1 / (mu~ alpha + mu beta)
+        m2 = beta (mu - mu~) / (mu~ alpha + mu beta)
     """
 
     background: LameConstants
     inclusion: LameConstants
-    constants: DerivedConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bg, inc = self.background, self.inclusion
@@ -96,15 +81,20 @@ class MaterialPair:
                 "need (lam - lam~)(mu - mu~) >= 0, got "
                 f"({bg.lam - inc.lam})*({bg.mu - inc.mu}) < 0"
             )
-        alpha, beta = _alpha_beta(bg)
-        alpha_t, beta_t = _alpha_beta(inc)
-        denom = inc.mu * alpha + bg.mu * beta
-        object.__setattr__(self, "constants", DerivedConstants(
-            alpha=alpha,
-            beta=beta,
-            alpha_tilde=alpha_t,
-            beta_tilde=beta_t,
-            m0=2.0 * (inc.mu - bg.mu) / denom,
-            m1=1.0 / denom,
-            m2=beta * (bg.mu - inc.mu) / denom,
-        ))
+
+    @cached_property
+    def _denom(self) -> float:
+        bg = self.background
+        return self.inclusion.mu * bg.alpha + bg.mu * bg.beta
+
+    @cached_property
+    def m0(self) -> float:
+        return 2.0 * (self.inclusion.mu - self.background.mu) / self._denom
+
+    @cached_property
+    def m1(self) -> float:
+        return 1.0 / self._denom
+
+    @cached_property
+    def m2(self) -> float:
+        return self.background.beta * (self.background.mu - self.inclusion.mu) / self._denom

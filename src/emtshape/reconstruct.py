@@ -77,7 +77,7 @@ def estimate_disk(values: np.ndarray, mat: MaterialPair) -> DiskEstimate:
     ``values`` indexed like EmtTable.values."""
     if values.shape[0] < 2:
         raise InversionError("disk fit needs entries up to order 2")
-    m0 = mat.constants.m0
+    m0 = mat.m0
     if m0 == 0.0:
         raise InversionError(
             "matched shear moduli (mu = mu~) make the leading EMT vanish; "
@@ -152,7 +152,7 @@ def fourier_coefficients(gaps: np.ndarray, second: np.ndarray, gamma: float,
         raise InversionError(
             "matched shear moduli (mu = mu~): both channel denominators vanish"
         )
-    m1, m2 = mat.constants.m1, mat.constants.m2
+    m1, m2 = mat.m1, mat.m2
     order = gaps.shape[0]
     n = np.arange(1, order + 1)
     coeffs = gaps / (16.0 * math.pi * n * gamma ** (n + 1) * mu_gap * m1)

@@ -182,8 +182,7 @@ def _write_panel(at: np.ndarray, curve: BoundaryCurve, mat: MaterialPair, lo: in
     diff, c, a, q, p, t = work
     kern = c  # done with before c is written
     log, p_real = real
-    k = mat.constants
-    mu, mu_t = mat.background.mu, mat.inclusion.mu
+    bg, inc = mat.background, mat.inclusion
     trace, traction = slice(0, 2 * n), slice(2 * n, 4 * n)
     psi, phi = at[2 * lo : 2 * hi], at[2 * (n + lo) : 2 * (n + hi)]
     np.subtract(z[None, :], z[lo:hi, None], out=diff)
@@ -202,7 +201,7 @@ def _write_panel(at: np.ndarray, curve: BoundaryCurve, mat: MaterialPair, lo: in
         np.divide(diff, kern, out=kern)
     kern[diag] = kern_diag
     kern *= w[:, None]
-    for rows, alpha, beta in ((psi, k.alpha_tilde, k.beta_tilde), (phi, -k.alpha, -k.beta)):
+    for rows, alpha, beta in ((psi, inc.alpha, inc.beta), (phi, -bg.alpha, -bg.beta)):
         # S[u]|: P = alpha log + g 1 w^T is real and Q = g kern, g = -beta / 4 pi
         g = -beta / (4.0 * math.pi)
         np.multiply(alpha, log, out=p_real)
@@ -230,8 +229,8 @@ def _write_panel(at: np.ndarray, curve: BoundaryCurve, mat: MaterialPair, lo: in
 
     # phi sees the exterior side of the Cauchy pieces; psi the interior,
     # derived from them in place once phi's rows are written
-    for rows, alpha, beta in ((phi, -mu * k.alpha, -mu * k.beta),
-                              (psi, mu_t * k.alpha_tilde, mu_t * k.beta_tilde)):
+    for rows, alpha, beta in ((phi, -bg.mu * bg.alpha, -bg.mu * bg.beta),
+                              (psi, inc.mu * inc.alpha, inc.mu * inc.beta)):
         if rows is psi:
             a[diag] -= 1j * speed
             q += dq

@@ -16,7 +16,7 @@ STIFF = MaterialPair(LameConstants(1.5, 1.2), LameConstants(1.8, 1.5))
 
 
 def test_modified_emt_diagonal():
-    m0 = SOFT.constants.m0
+    m0 = SOFT.m0
     for gamma in (0.7, 1.3):
         moments = disk_modified_emt(SOFT, gamma, 5)
         assert moments.shape == (5,)
@@ -52,7 +52,7 @@ def test_disk_emt_table_matches_binomial_sum(a0):
     # E^{(t,s)}_{nm} = 2 pi M0 Re{q_t conj(q_s) S_nm},
     # S_nm = sum_k k gamma^{2k} C(n,k) a0^{n-k} conj(C(m,k) a0^{m-k})
     gamma, order, q = 0.8, 6, (1.0, 1.0j)
-    m0 = STIFF.constants.m0
+    m0 = STIFF.m0
     table = disk_emt_table(STIFF, gamma, a0, order)
     for n in range(1, order + 1):
         for m in range(1, order + 1):
@@ -69,7 +69,7 @@ def test_disk_emt_table_matches_binomial_sum(a0):
 def test_general_emt_hand_values():
     # E^{(1,1)}_{12} = 4 pi gamma^2 M0 Re(a0); E^{(1,2)}_{12} = -4 pi gamma^2 M0 Im(a0)
     a0, gamma = -0.9 + 1.2j, 0.7
-    m0 = SOFT.constants.m0
+    m0 = SOFT.m0
     assert disk_emt_general(SOFT, gamma, a0, 1, 2, 1, 1) == pytest.approx(
         4.0 * math.pi * gamma**2 * m0 * a0.real, rel=1e-13)
     assert disk_emt_general(SOFT, gamma, a0, 1, 2, 1, 2) == pytest.approx(

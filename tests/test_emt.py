@@ -193,6 +193,10 @@ def test_json_round_trip_exact_and_noisy():
                                        "sigma": 0.1}),
     lambda doc: doc["entries"][0].update(weight=1.0),
     lambda doc: doc.update(provenance=None),
+    # the right entry count with one (n, m, t, s) repeated: "missing entries"
+    lambda doc: doc["entries"].__setitem__(1, dict(doc["entries"][0])),
+    # order 0 needs no entries, and is rejected as an order
+    lambda doc: doc.update(order=0, entries=[]),
 ])
 def test_json_malformed_documents(mutate):
     table = emt_table(sample(Disk(0.0, 1.0), 32), SOFT, 2)

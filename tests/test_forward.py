@@ -41,13 +41,12 @@ def cauchy_sides(curve, mat=SOFT):
     # the assembled system: the phi columns hold the exterior side and the
     # psi columns the interior, each as P + Q and i (P - Q) with
     # P = (beta/2) A - (alpha/2) conj(A) and A = C diag(dz) in this orientation
-    n, k = curve.n, mat.constants
-    mu, mu_t = mat.background.mu, mat.inclusion.mu
+    n, bg, inc = curve.n, mat.background, mat.inclusion
     cols = np.ascontiguousarray(_assemble(curve, mat)[2 * n : 4 * n, : 4 * n].T).view(complex)
     p = (cols[0::2] - 1j * cols[1::2]) / 2.0
     sides = []
-    for sources, alpha, beta in ((slice(n, 2 * n), -mu * k.alpha, -mu * k.beta),
-                                 (slice(0, n), mu_t * k.alpha_tilde, mu_t * k.beta_tilde)):
+    for sources, alpha, beta in ((slice(n, 2 * n), -bg.mu * bg.alpha, -bg.mu * bg.beta),
+                                 (slice(0, n), inc.mu * inc.alpha, inc.mu * inc.beta)):
         b, c = beta / 2.0, alpha / 2.0
         a = (b * p[sources] + c * np.conj(p[sources])) / (b * b - c * c)
         sides.append(a / curve.dz)
@@ -67,10 +66,9 @@ def disk_densities(mat, gamma, n, curve, q):
     """Exact (phi, psi) on the sampled disk for the field conj(q (z - a0)^n):
     c phi_{-n} and d phi_{-n} with phi_k = e^{i k theta} / gamma,
     c = conj(q) n gamma^n M0 and d = -2 conj(q) n gamma^n M1 / alpha~."""
-    k = mat.constants
     scale = np.conj(q) * n * gamma**n
     mode = np.exp(-1j * n * nodes(curve.n)) / gamma
-    return scale * k.m0 * mode, -2.0 * scale * k.m1 / k.alpha_tilde * mode
+    return scale * mat.m0 * mode, -2.0 * scale * mat.m1 / mat.inclusion.alpha * mode
 
 
 def apply_block(block, v):
@@ -133,7 +131,7 @@ def test_periodic_columns_built_once_per_node_count(n):
 def test_single_layer_trace_circle_symbol(k):
     # S[e^{ik tau}] = -(alpha/2|k|) e^{ik theta} on the unit circle, plus the
     # beta corrections -beta/2 at k = 0 and +(beta/2) e^{i theta} at k = 1
-    alpha, beta = SOFT.constants.alpha, SOFT.constants.beta
+    alpha, beta = SOFT.background.alpha, SOFT.background.beta
     curve = sample(Disk(0.0, 1.0), 32)
     theta = nodes(32)
     out = apply_block(-trace_rows(curve, SOFT)[:, 2 * curve.n :], np.exp(1j * k * theta))

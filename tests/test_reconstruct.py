@@ -284,11 +284,11 @@ def reference_estimate(values, mat, order):
     diag = np.arange(order)
     delta[diag, diag] -= disk_modified_emt(mat, disk.gamma, order)[:, None, None] * np.eye(2)
     f, s = channels(delta)
-    factor = 16.0 * math.pi * (mat.inclusion.mu - mat.background.mu) * mat.constants.m1
+    factor = 16.0 * math.pi * (mat.inclusion.mu - mat.background.mu) * mat.m1
     n = np.arange(1, order + 1)
     coeffs = f[:, 0] / (factor * n * disk.gamma ** (n + 1))
     coeffs[0] = coeffs[0].real
-    second = [s[n - 1, m - 1] / (factor * mat.constants.m2 * n * m * disk.gamma ** (n + m))
+    second = [s[n - 1, m - 1] / (factor * mat.m2 * n * m * disk.gamma ** (n + m))
               for n in range(1, order + 1) for m in range(1, order + 1) if n + m + 2 <= order - 1]
     return coeffs, np.array(second)
 
@@ -515,7 +515,7 @@ def test_shape_error_memory_is_subquadratic():
 
 def loop_second_channel(second, coeffs, gamma, mat):
     mu_gap = mat.inclusion.mu - mat.background.mu
-    m1, m2 = mat.constants.m1, mat.constants.m2
+    m1, m2 = mat.m1, mat.m2
     order = second.shape[0]
     out = []
     for n in range(1, order + 1):
@@ -586,7 +586,7 @@ def test_second_channel_columns_empty_without_m2():
     # lambda + mu = 1.1e-16 > 0 is admissible, yet 2 mu + lambda rounds to 1.0,
     # so beta = 0.0 and M2 = -0.0
     mat = MaterialPair(LameConstants(-0.9999999999999999, 1.0), LameConstants(0.0, 2.0))
-    assert mat.constants.m2 == 0.0
+    assert mat.m2 == 0.0
     coeffs, diagnostics = fourier_coefficients(np.ones(24, complex), np.ones((24, 24), complex),
                                                1.0, mat)
     cols = diagnostics["secondChannel"]
