@@ -152,17 +152,17 @@ def fourier_coefficients(gaps: np.ndarray, second: np.ndarray, gamma: float,
         raise InversionError(
             "matched shear moduli (mu = mu~): both channel denominators vanish"
         )
-    m1, m2 = mat.m1, mat.m2
+    m2 = mat.m2
+    factor = 16.0 * math.pi * mu_gap * mat.m1  # shared by both channels
     order = gaps.shape[0]
     n = np.arange(1, order + 1)
-    coeffs = gaps / (16.0 * math.pi * n * gamma ** (n + 1) * mu_gap * m1)
+    coeffs = gaps / (factor * n * gamma ** (n + 1))
     h0_imag = float(coeffs[0].imag)
     coeffs[0] = coeffs[0].real
 
     # with M2 = 0 the second channel carries no data: order 0 gives no rows
     nn, mm, k = _second_channel_index(order if m2 != 0.0 else 0)
-    denom = 16.0 * math.pi * nn * mm * gamma ** (nn + mm) * mu_gap * m1 * m2
-    value = second[nn - 1, mm - 1] / denom
+    value = second[nn - 1, mm - 1] / (factor * m2 * nn * mm * gamma ** (nn + mm))
     gap = np.abs(value - coeffs[k])
     value.setflags(write=False)
     gap.setflags(write=False)
