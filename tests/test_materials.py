@@ -76,7 +76,7 @@ def test_constants_are_not_a_constructor_argument():
     assert (pair.m0, pair.m1, pair.m2) == (SOFT.m0, SOFT.m1, SOFT.m2)
     for med in (pair.background, pair.inclusion):
         assert med.alpha > med.beta > 0.0
-    assert pair == fresh and hash(pair) == hash(fresh)
+    assert pair == fresh == SOFT and hash(pair) == hash(fresh)
     assert pair.background == LameConstants(1.5, 1.2)
     assert hash(pair.background) == hash(LameConstants(1.5, 1.2))
     assert repr(pair) == before == repr(fresh)
