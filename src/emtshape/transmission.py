@@ -28,6 +28,19 @@ node count.  The dgesv of the LAPACK numpy links factors the system in
 place, its LU overwriting the system and the solutions the right-hand-side
 rows, so the system is held once per solve; np.linalg.solve, which copies
 it, runs only on builds where that symbol is not found.
+
+A curve that is mirror-symmetric about the line through its nodes 0 and
+N/2, node N - j the mirror image of node j to a few ulps (the kite, the
+starfish, ellipses, disks, and perturbed disks with real modes, all
+sampled by geometry.sample), is solved as two blocks of size 2N + 1 and
+2N + 2, the parts of the system that the reflection keeps and flips: half
+the panels are written, each folded over the node pairs into both blocks,
+and the two LUs take a quarter of the flops and half the memory.  Every
+other curve takes the full system.  The blocks solve the same equations
+in other combinations, so the tables differ from the full system's by
+round-off only: at most 3e-14 of the largest entry over the kite,
+starfish, ellipse and an off-center disk at N = 64 to 256 and order 12,
+for soft, stiff and near-rigid inclusions.
 """
 
 from __future__ import annotations
@@ -157,11 +170,13 @@ def _write_real_linear(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     np.multiply(1j, np.subtract(p, q, out=q), out=rows[1::2].view(complex))
 
 
-def _write_panel(at: np.ndarray, curve: BoundaryCurve, mat: MaterialPair, lo: int, hi: int,
-                 limits: tuple[np.ndarray, ...], work: np.ndarray, real: np.ndarray) -> None:
-    """Write the rows of A^T that hold psi_l and phi_l for the source nodes
-    l = lo..hi-1.  limits are the per-node arrays of _assemble; work and
-    real are the scratch's complex and real (hi - lo) x N buffers, all
+def _write_panel(psi: np.ndarray, phi: np.ndarray, curve: BoundaryCurve, mat: MaterialPair,
+                 lo: int, hi: int, limits: tuple[np.ndarray, ...], work: np.ndarray,
+                 real: np.ndarray) -> None:
+    """Write the equation columns 0..4N-1 of the rows of A^T that hold
+    psi_l and phi_l for the source nodes l = lo..hi-1 into psi and phi,
+    2 (hi - lo) rows each.  limits are the per-node arrays of _panels; work
+    and real are the scratch's complex and real (hi - lo) x N buffers, all
     entries [l - lo, j] over the target nodes j, so nothing of panel size
     is allocated here.  The curve-only pieces, with diff = z_j - z_l:
 
@@ -184,7 +199,6 @@ def _write_panel(at: np.ndarray, curve: BoundaryCurve, mat: MaterialPair, lo: in
     log, p_real = real
     bg, inc = mat.background, mat.inclusion
     trace, traction = slice(0, 2 * n), slice(2 * n, 4 * n)
-    psi, phi = at[2 * lo : 2 * hi], at[2 * (n + lo) : 2 * (n + hi)]
     np.subtract(z[None, :], z[lo:hi, None], out=diff)
 
     # log|diff| = log(2 |sin((theta_j - theta_l)/2)|) + smooth, with the
@@ -242,25 +256,42 @@ def _write_panel(at: np.ndarray, curve: BoundaryCurve, mat: MaterialPair, lo: in
         _write_real_linear(rows[:, traction], p, np.multiply(0.5 * beta, q, out=t))
 
 
-def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:
-    """The real (4N+3) x (4N+3) system in Fortran order, the order LAPACK
-    factors in: it is filled as A^T in C order, one panel of sources at a
-    time, so no N x N piece is held."""
-    n, z, dz, w = curve.n, curve.z, curve.dz, curve.weight
-
-    # row r of at is the column of unknown r; its columns are the equations
-    at = np.zeros((4 * n + 3, 4 * n + 3))
-    height = min(n, max(1, _PANEL_ENTRIES // n))
+def _panels(curve: BoundaryCurve, mat: MaterialPair, count: int, at: np.ndarray | None = None):
+    """Write the rows of A^T of the source nodes 0..count-1 one panel at a
+    time, yielding (lo, hi, psi, phi) once the panel's rows are written:
+    into at's rows if given, else into a panel buffer that the next panel
+    refills."""
+    n, dz = curve.n, curve.dz
+    height = min(count, max(1, _PANEL_ENTRIES // n))
     work, real = np.empty((6, height, n), dtype=complex), np.empty((2, height, n))
+    rows = None if at is not None else np.empty((2, 2 * height, 4 * n))
     # |dz| and the diagonal limits of kern, of the Cauchy kernel and of the
     # interior side's correction v, once per node
     speed = np.abs(dz)
     limits = (speed, dz / np.conj(dz),
               0.5j - _spectral_derivative(dz, _periodic_columns(n)[0]) / (2.0 * n * dz),
               1j * speed / np.conj(dz))
-    for lo in range(0, n, height):
-        hi = min(lo + height, n)
-        _write_panel(at, curve, mat, lo, hi, limits, work[:, : hi - lo], real[:, : hi - lo])
+    for lo in range(0, count, height):
+        hi = min(lo + height, count)
+        if at is None:
+            psi, phi = rows[:, : 2 * (hi - lo)]
+        else:
+            psi, phi = at[2 * lo : 2 * hi], at[2 * (n + lo) : 2 * (n + hi)]
+        _write_panel(psi, phi, curve, mat, lo, hi, limits, work[:, : hi - lo],
+                     real[:, : hi - lo])
+        yield lo, hi, psi, phi
+
+
+def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:
+    """The real (4N+3) x (4N+3) system in Fortran order, the order LAPACK
+    factors in: it is filled as A^T in C order, one panel of sources at a
+    time, so no N x N piece is held."""
+    n, z, w = curve.n, curve.z, curve.weight
+
+    # row r of at is the column of unknown r; its columns are the equations
+    at = np.zeros((4 * n + 3, 4 * n + 3))
+    for _ in _panels(curve, mat, n, at):
+        pass
 
     # slack columns on the traction rows: the constants 1 and i and the
     # dilation field z.  The rows are written in dG/dtheta variables, so
@@ -337,12 +368,138 @@ def _solve_in_place(a: np.ndarray, b: np.ndarray) -> None:
                           "is exactly zero")
 
 
+# ---------------------------------------------------------------------------
+# mirror-symmetric curves.  With e^{i alpha} the direction of the line through
+# z_0 and z_{N/2}, the reflection across it maps node j to node N - j and a
+# nodal value u to R u = e^{2i alpha} conj(u).  When it maps the curve onto
+# itself, the system commutes with it: A P = Q A, where P reflects both
+# densities node by node, and Q reflects the trace rows and, with a minus
+# sign, the traction rows, which are written in dG/dtheta variables and so
+# change sign with the direction of theta.  Taken about z_0, the rigid
+# motions e^{i alpha}, i e^{i alpha} and -i (z - z_0) and the slack fields
+# i e^{i alpha}, e^{i alpha} and z - z_0 each keep or flip their sign.  The
+# system splits into an even block of size 2N + 1 and an odd one of 2N + 2:
+# half the panels fill both, and the two LUs take a quarter of the flops.
+
+# how far, in units of the rounding error of max|z - z_0| and max|dz|, the
+# nodes and their derivatives may miss the reflection for a curve to take
+# the mirrored path
+_MIRROR_ULPS = 16
+
+
+def _mirror_axis(curve: BoundaryCurve) -> complex | None:
+    """e^{i alpha} of the line through z_0 and z_{N/2} when the reflection
+    across it maps every node j, and its derivative reversed, onto node
+    N - j to round-off; None when it does not."""
+    n, z, dz = curve.n, curve.z, curve.dz
+    chord = z[n // 2] - z[0]
+    if not abs(chord) > 0.0:
+        return None
+    axis = chord / abs(chord)
+    rho, mirror, rel = axis * axis, -np.arange(n) % n, z - z[0]
+    misses = (np.abs(rel[mirror] - rho * np.conj(rel)).max() / np.abs(rel).max(),
+              np.abs(dz[mirror] + rho * np.conj(dz)).max() / np.abs(dz).max())
+    return axis if all(miss <= _MIRROR_ULPS * np.finfo(float).eps for miss in misses) else None
+
+
+def _fold(y: np.ndarray, axis: complex, keep: np.ndarray, flip: np.ndarray) -> None:
+    """Fold nodal values y over the node pairs (j, N - j) into the parts
+    that the reflection R keeps and flips, N/2 complex entries each on the
+    last axis: y_j + R y_{N-j} and y_j - R y_{N-j} for j = 1..N/2-1.  At
+    the nodes 0 and N/2 on the axis each part has one real degree of
+    freedom, the component of y along the axis (keep) or across it (flip),
+    which entry 0 holds for node 0 in Re and for node N/2 in Im."""
+    half = y.shape[-1] // 2
+    for out, w in ((keep, np.conj(axis)), (flip, -1j * np.conj(axis))):
+        out[..., 0] = (w * y[..., 0]).real + 1j * (w * y[..., half]).real
+    mirrored = np.conj(y[..., :half:-1])
+    mirrored *= axis * axis
+    np.add(y[..., 1:half], mirrored, out=keep[..., 1:])
+    np.subtract(y[..., 1:half], mirrored, out=flip[..., 1:])
+
+
+def _fold_equations(rows: np.ndarray, axis: complex, even: np.ndarray, odd: np.ndarray) -> None:
+    """Fold the equation columns of rows of A^T into the rows even and odd
+    of the blocks' transposes: the even block keeps what R keeps of the
+    trace rows and flips of the traction rows."""
+    n = rows.shape[-1] // 4
+    _fold(rows[:, : 2 * n].view(complex), axis, even[:, :n].view(complex),
+          odd[:, :n].view(complex))
+    _fold(rows[:, 2 * n :].view(complex), axis, odd[:, n : 2 * n].view(complex),
+          even[:, n : 2 * n].view(complex))
+
+
+def _solve_mirrored(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
+                    traction: np.ndarray, axis: complex) -> tuple[np.ndarray, np.ndarray]:
+    """solve_densities for a curve that the reflection across axis through
+    z_0 maps onto itself, as the even and the odd block.
+
+    Each block's transpose is filled in C order like A^T.  Its rows are the
+    unknowns: per density N coordinates, rows 2l and 2l + 1 the (Re, Im) of
+    c_l for node pairs l = 1..N/2-1, with u_l = (c_l^even + c_l^odd)/2 and
+    u_{N-l} = R (c_l^even - c_l^odd)/2, and rows 0 and 1 the components of
+    u_0 and u_{N/2} along the axis (even) or across it (odd); then the
+    slacks.  Its columns are the folded trace and traction rows, then the
+    constraints."""
+    n, half = curve.n, curve.n // 2
+    across, rel = 1j * axis, curve.z - curve.z[0]
+    even, odd = np.zeros((2 * n + 1, 2 * n + 1)), np.zeros((2 * n + 2, 2 * n + 2))
+    turn = np.array([[axis.real, axis.imag], [-axis.imag, axis.real]])
+    for lo, hi, psi, phi in _panels(curve, mat, half + 1):
+        for offset, rows in ((0, psi), (n, phi)):
+            for node, slot in ((0, offset), (half, offset + 1)):
+                if lo <= node < hi:
+                    # u_node along and across the axis, the even and odd row
+                    pair = rows[2 * (node - lo) : 2 * (node - lo) + 2]
+                    pair[...] = turn @ pair
+                    folded = np.empty((2, 2, 2 * n))
+                    _fold_equations(pair, axis, *folded)
+                    even[slot, : 2 * n], odd[slot, : 2 * n] = folded[0, 0], folded[1, 1]
+            first, last = max(lo, 1), min(hi, half)
+            if first < last:
+                _fold_equations(rows[2 * (first - lo) : 2 * (last - lo)], axis,
+                                even[offset + 2 * first : offset + 2 * last],
+                                odd[offset + 2 * first : offset + 2 * last])
+
+    # the slack fields on the traction rows, one even and two odd
+    slacks = np.zeros((3, 4 * n))
+    slacks[:, 2 * n :] = np.array([np.full(n, across), np.full(n, axis), rel]).view(float)
+    folded = np.empty((2, 3, 2 * n))
+    _fold_equations(slacks, axis, *folded)
+    even[2 * n :, : 2 * n], odd[2 * n :, : 2 * n] = folded[0, :1], folded[1, 1:]
+    # the constraints pair phi with the rigid motions, one even and two odd;
+    # on the axis the unknown is u's component along or across it
+    for block, along, motions in ((even, axis, [axis]), (odd, across, [across, -1j * rel])):
+        for c, motion in enumerate(motions):
+            pairing = curve.weight * motion
+            column = block[n : 2 * n, 2 * n + c]
+            column[:2] = (np.conj(along) * pairing[[0, half]]).real
+            column[2:] = pairing[1:half].view(float)
+
+    fields = np.multiply(0.5j * np.abs(curve.dz), traction)  # = mu * dG_H/dtheta
+    rhs = [np.zeros((len(h), len(block))) for block in (even, odd)]
+    _fold_equations(np.concatenate([h, fields], axis=1).view(float), axis, *rhs)
+    for block, b in zip((even, odd), rhs):
+        _solve_in_place(block.T, b)
+    c_even, c_odd = (b[:, : 2 * n].view(complex).reshape(len(h), 2, half) for b in rhs)
+    densities = np.empty((len(h), 2, n), dtype=complex)
+    densities[..., 0] = axis * (c_even[..., 0].real + 1j * c_odd[..., 0].real)
+    densities[..., half] = axis * (c_even[..., 0].imag + 1j * c_odd[..., 0].imag)
+    densities[..., 1:half] = 0.5 * (c_even[..., 1:] + c_odd[..., 1:])
+    densities[..., :half:-1] = (0.5 * axis * axis) * np.conj(c_even[..., 1:] - c_odd[..., 1:])
+    return densities[:, 0], densities[:, 1]
+
+
 def solve_densities(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
                     traction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the transmission system for the fields whose values h and
     tractions stack on axis 0, shape (fields, N); the matrix is assembled
-    and factorized a single time.  Returns the densities (psi, phi), each of
-    shape (fields, N), views of the solved rows."""
+    and factorized a single time, as two half-size blocks when the curve is
+    mirror-symmetric (_mirror_axis).  Returns the densities (psi, phi), each
+    of shape (fields, N)."""
+    axis = _mirror_axis(curve)
+    if axis is not None:
+        return _solve_mirrored(curve, mat, h, traction, axis)
     n = curve.n
     a = _assemble(curve, mat)
     b = _rhs(curve, h, traction)  # after the assembly, so not beside its scratch

@@ -407,25 +407,30 @@ def test_non_finite_inversion_exits_1(tmp_path, make_table, materials):
 
 
 def test_singular_system_exits_1(tmp_path, monkeypatch, capsys):
-    write_config(tmp_path / "config.json")
-
-    def singular(curve, mat):
-        return np.zeros((4 * curve.n + 3,) * 2, order="F")
+    def singular(psi, phi, *args):
+        # every density column of the system is zero
+        psi[...] = phi[...] = 0.0
 
     def no_svd(*args, **kwargs):
         raise AssertionError("a singular system is reported without its condition number")
 
-    monkeypatch.setattr(transmission, "_assemble", singular)
+    monkeypatch.setattr(transmission, "_write_panel", singular)
     monkeypatch.setattr(np.linalg, "cond", no_svd)
     argv = ["forward", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
-    # numpy's LAPACK in place, then np.linalg.solve where no dgesv is found
-    for lookup in (transmission._lapack_dgesv, lambda: None):
-        monkeypatch.setattr(transmission, "_lapack_dgesv", lookup)
-        assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: transmission system singular")
-        assert "Traceback" not in err
-        assert not (tmp_path / "out" / "emt_table.json").exists()
+    # the mirror-symmetric default shape solves two blocks, the complex mode
+    # the full system; numpy's LAPACK in place, then np.linalg.solve where no
+    # dgesv is found
+    lapack = transmission._lapack_dgesv
+    for mode in ([0.02, 0.0], [0.02, 0.01]):
+        write_config(tmp_path / "config.json",
+                     shape={**BASE_CONFIG["shape"], "coefficients": [[0.0, 0.0], [0.0, 0.0], mode]})
+        for lookup in (lapack, lambda: None):
+            monkeypatch.setattr(transmission, "_lapack_dgesv", lookup)
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: transmission system singular")
+            assert "Traceback" not in err
+            assert not (tmp_path / "out" / "emt_table.json").exists()
 
 
 @pytest.mark.parametrize("command,radius,flags", [

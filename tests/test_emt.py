@@ -178,29 +178,51 @@ def test_json_round_trip_exact_and_noisy():
     assert back.provenance == NoiseModel(0.01, 3)
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda doc: doc.pop("order"),
-    lambda doc: doc.pop("entries"),
-    lambda doc: doc["entries"].pop(),
-    lambda doc: doc["entries"][0].pop("value"),
-    lambda doc: doc["entries"][0].update(n=99),
-    lambda doc: doc.update(provenance={"kind": "mystery"}),
-    lambda doc: doc.update(order="two"),
-    lambda doc: doc["entries"][0].update(value=True),
-    lambda doc: doc.update(note="exact"),
-    lambda doc: doc.update(provenance={"kind": "exact", "seed": 3}),
-    lambda doc: doc.update(provenance={"kind": "noisy", "sigma2": 0.01, "seed": 3,
-                                       "sigma": 0.1}),
-    lambda doc: doc["entries"][0].update(weight=1.0),
-    lambda doc: doc.update(provenance=None),
-    # the right entry count with one (n, m, t, s) repeated: "missing entries"
-    lambda doc: doc["entries"].__setitem__(1, dict(doc["entries"][0])),
+# each row names the message of the check that must reject it, so a row
+# that an earlier check catches fails
+MALFORMED_DOCUMENTS = [
+    (lambda doc: doc.pop("order"), "document: 'order'"),
+    (lambda doc: doc.pop("entries"), "document: 'entries'"),
+    (lambda doc: doc["entries"].pop(), "has 15 entries, order 2 needs 16"),
+    (lambda doc: doc["entries"][0].pop("value"), "malformed EMT entry .*: 'value'"),
+    (lambda doc: doc["entries"][0].update(n=99), r"index \(99, 1, 1, 1\) out of range"),
+    (lambda doc: doc.update(provenance={"kind": "mystery"}), "unknown provenance kind 'mystery'"),
+    (lambda doc: doc.update(order="two"), "document: expected a number, got str"),
+    (lambda doc: doc["entries"][0].update(value=True),
+     "malformed EMT entry .*: expected a number, got bool"),
+    (lambda doc: doc.update(note="exact"), "document: unknown keys: note"),
+    (lambda doc: doc.update(provenance={"kind": "exact", "seed": 3}),
+     "document: provenance: unknown keys: seed"),
+    (lambda doc: doc.update(provenance={"kind": "noisy", "sigma2": 0.01, "seed": 3,
+                                        "sigma": 0.1}),
+     "document: provenance: unknown keys: sigma"),
+    (lambda doc: doc["entries"][0].update(weight=1.0), "malformed EMT entry .*: unknown keys: weight"),
+    (lambda doc: doc.update(provenance=None), "document: 'NoneType' object is not subscriptable"),
+    # the right entry count with one (n, m, t, s) repeated
+    (lambda doc: doc["entries"].__setitem__(1, dict(doc["entries"][0])), "missing entries"),
     # order 0 needs no entries, and is rejected as an order
-    lambda doc: doc.update(order=0, entries=[]),
-])
-def test_json_malformed_documents(mutate):
+    (lambda doc: doc.update(order=0, entries=[]), "order must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize("mutate,match", MALFORMED_DOCUMENTS,
+                         ids=[f"<lambda>{i}" for i in range(len(MALFORMED_DOCUMENTS))])
+def test_json_malformed_documents(mutate, match):
     table = emt_table(sample(Disk(0.0, 1.0), 32), SOFT, 2)
     doc = table_to_json(table)
     mutate(doc)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         table_from_json(doc)
+
+
+@pytest.mark.parametrize("nodes,order", [(12, 6), (16, 8), (16, 9)])
+def test_table_order_must_be_resolved(nodes, order):
+    # z^order has mode order, which 2 order >= N nodes alias: unchecked, a
+    # disk read 4.1 (N = 12, order 6) and 6.1 (N = 16, order 8) off its
+    # closed form, relative to its largest entry
+    curve = sample(Disk(0.0, 1.0), nodes)
+    with pytest.raises(ValueError, match=f"order {order} needs more than {2 * order} nodes"):
+        emt_table(curve, SOFT, order)
+    exact = disk_emt_table(SOFT, 1.0, 0.0, nodes // 2 - 2)
+    table = emt_table(curve, SOFT, nodes // 2 - 2)
+    assert np.abs(table.values - exact).max() <= 1e-13 * np.abs(exact).max()

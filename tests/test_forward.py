@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -9,12 +10,22 @@ import numpy as np
 import pytest
 
 from emtshape import transmission
-from emtshape.geometry import Disk, Ellipse, Kite, Starfish, sample
+from emtshape.emt import emt_table
+from emtshape.geometry import (
+    Disk,
+    Ellipse,
+    FourierCurve,
+    Kite,
+    Starfish,
+    descriptor_to_json,
+    sample,
+)
 from emtshape.materials import LameConstants, MaterialPair
 from emtshape.transmission import (
     _assemble,
     _circulant_rows,
     _log_quadrature_row,
+    _mirror_axis,
     _periodic_columns,
     _rhs,
     _write_real_linear,
@@ -26,6 +37,19 @@ SOFT = MaterialPair(LameConstants(1.5, 1.2), LameConstants(0.6, 0.4))
 STIFF = MaterialPair(LameConstants(1.5, 1.2), LameConstants(1.8, 1.5))
 
 KITE = Kite(0.6 + 0.8j, 0.65)
+
+
+def random_curve(seed):
+    """Criterion 6's random smooth curve, modes -1..4 with the unit mode +1:
+    no mirror symmetry, so its solves take the full system."""
+    rng = np.random.default_rng(seed)
+    modes = np.arange(-1, 5)
+    coeffs = (0.05 / (1.0 + np.abs(modes))) * (rng.normal(size=6) + 1j * rng.normal(size=6))
+    coeffs[2] = 1.0
+    return FourierCurve(tuple(coeffs), min_index=-1)
+
+
+ASYMMETRIC = random_curve(0)
 
 
 def trace_rows(curve, mat):
@@ -348,7 +372,8 @@ def test_in_place_solve_matches_numpy(monkeypatch, nodes):
     def copying_solve(*args, **kwargs):
         raise AssertionError("np.linalg.solve copies the system")
 
-    curve = sample(KITE, nodes)
+    curve = sample(ASYMMETRIC, nodes)
+    assert _mirror_axis(curve) is None
     h, traction = evaluate_background(curve, STIFF.background.mu, 12)
     expected = numpy_densities(curve, STIFF, h, traction)
     monkeypatch.setattr(np.linalg, "solve", copying_solve)
@@ -357,37 +382,104 @@ def test_in_place_solve_matches_numpy(monkeypatch, nodes):
 
 
 def test_fallback_solve_matches_in_place(monkeypatch):
-    curve = sample(KITE, 128)
+    # both the full system and the mirrored blocks
+    for shape in (ASYMMETRIC, KITE):
+        curve = sample(shape, 128)
+        h, traction = evaluate_background(curve, STIFF.background.mu, 12)
+        expected = solve_densities(curve, STIFF, h, traction)
+        with monkeypatch.context() as patch:
+            patch.setattr(transmission, "_lapack_dgesv", lambda: None)
+            for got, want in zip(solve_densities(curve, STIFF, h, traction), expected):
+                assert np.array_equal(got, want)
+
+
+def rotated(shape, angle, shift):
+    # shape turned by angle about the origin and moved by shift, as a FourierCurve
+    k, c = shape.modes()
+    coeffs = dict(zip(k, c))
+    modes = range(min(k), max(k) + 1)
+    return FourierCurve(tuple(np.exp(1j * angle) * coeffs.get(m, 0.0) + (shift if m == 0 else 0.0)
+                              for m in modes), min_index=min(k))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="Linux numpy builds export dgesv")
+@pytest.mark.parametrize("inclusion", [(0.6, 0.4), (1.8, 1.5), (30.0, 20.0)])
+@pytest.mark.parametrize("shape", [Kite(0.2, 0.65), Starfish(0.3 + 0.1j, 0.125, 5),
+                                   Ellipse(0.3 + 0.2j, 1.2, 0.8), Disk(-0.9 + 1.2j, 1.0),
+                                   rotated(Kite(0.2, 0.65), 0.7, 0.3 - 0.4j)])
+def test_mirrored_solve_matches_full_system(monkeypatch, shape, inclusion):
+    # a mirror-symmetric curve is solved as two half-size blocks, in place,
+    # and its table agrees with the full system's to round-off
+    def copying_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve copies the system")
+
+    mat = MaterialPair(SOFT.background, LameConstants(*inclusion))
+    for nodes in (64, 100, 128, 256):
+        curve = sample(shape, nodes)
+        assert _mirror_axis(curve) is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(transmission, "_mirror_axis", lambda curve: None)
+            full = emt_table(curve, mat, 12).values
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", copying_solve)
+            patch.setattr(transmission, "_assemble", None)
+            mirrored = emt_table(curve, mat, 12).values
+        assert np.abs(mirrored - full).max() <= 1e-12 * np.abs(full).max()
+
+
+def test_curve_off_symmetry_takes_the_full_system(monkeypatch):
+    # the kite's nodes pushed off its axis by 1e-9 miss the reflection by
+    # far more than round-off, so the solve is the full system's, bit for bit
+    kite = rotated(KITE, 0.0, 0.0)
+    coeffs = list(kite.coefficients)
+    coeffs[2 - kite.min_index] += 1e-9j  # the e^{2i theta} mode
+    pushed = FourierCurve(tuple(coeffs), min_index=kite.min_index)
+    assert _mirror_axis(sample(kite, 128)) is not None
+    curve = sample(pushed, 128)
+    assert _mirror_axis(curve) is None
     h, traction = evaluate_background(curve, STIFF.background.mu, 12)
-    expected = solve_densities(curve, STIFF, h, traction)
-    monkeypatch.setattr(transmission, "_lapack_dgesv", lambda: None)
+    expected = numpy_densities(curve, STIFF, h, traction)
+    monkeypatch.setattr(transmission, "_solve_mirrored", None)
     for got, want in zip(solve_densities(curve, STIFF, h, traction), expected):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("nodes", [16, 100, 256])
+def test_panel_partition_leaves_the_mirrored_solve_unchanged(monkeypatch, nodes):
+    curve = sample(KITE, nodes)
+    h, traction = evaluate_background(curve, STIFF.background.mu, 6)
+    expected = solve_densities(curve, STIFF, h, traction)
+    for panel in (1, 7, nodes):
+        monkeypatch.setattr(transmission, "_PANEL_ENTRIES", panel * nodes)
+        for got, want in zip(solve_densities(curve, STIFF, h, traction), expected):
+            assert np.array_equal(got, want)
+
+
 SOLVE_PEAK = """
-import resource
+import json
 import sys
 from emtshape import transmission
-from emtshape.geometry import Kite, sample
+from emtshape.geometry import descriptor_from_json, sample
 from emtshape.materials import LameConstants, MaterialPair
 from emtshape.transmission import evaluate_background, solve_densities
 
 
 def peak():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # this process image's high-water mark: ru_maxrss would start from the
+    # parent's, which it inherits across the exec
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
 
-def assemble(curve, mat, assemble=transmission._assemble):
-    system = assemble(curve, mat)
+def solve_in_place(a, b, solve=transmission._solve_in_place):
     rises.append(peak() - before)
-    return system
+    solve(a, b)
 
 
-curve = sample(Kite(0.6 + 0.8j, 0.65), int(sys.argv[1]))
+curve = sample(descriptor_from_json(json.loads(sys.argv[2])), int(sys.argv[1]))
 mat = MaterialPair(LameConstants(1.5, 1.2), LameConstants(1.8, 1.5))
 h, traction = evaluate_background(curve, mat.background.mu, 12)
-transmission._assemble = assemble
+transmission._solve_in_place = solve_in_place
 rises = []
 before = peak()
 solve_densities(curve, mat, h, traction)
@@ -403,10 +495,18 @@ def run_fresh(script, *args):
                           text=True, env={**os.environ, "PYTHONPATH": path}, check=True).stdout
 
 
+def solve_peak(shape, n):
+    # the rises of the high-water mark, in KiB, when the first LU starts and
+    # when the solve returns, a fresh interpreter solving for 24 fields
+    doc = json.dumps(descriptor_to_json(shape))
+    assembled, solved = map(int, run_fresh(SOLVE_PEAK, str(n), doc).split())
+    return assembled, solved
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB and dgesv exported")
 def test_solve_holds_the_system_once():
-    # ru_maxrss is the process's high-water mark, so each solve runs alone in
-    # a fresh interpreter.  The assembly holds the system and its 1.75 MiB
+    # VmHWM is the process's high-water mark, so each solve of the asymmetric
+    # curve runs alone in a fresh interpreter.  The assembly holds the system and its 1.75 MiB
     # scratch, and rises 2.0-2.4 MiB above the system at N = 128 and at
     # N = 512 alike, so its rise is bounded on its own at both.  The LU's first call also faults in
     # the BLAS buffers (about 8 MiB, by thread count and CPU), so the solve
@@ -415,10 +515,25 @@ def test_solve_holds_the_system_once():
     for n in (128, 512):
         size = 4 * n + 3
         system_kib = size * size * 8 / 1024
-        assembled, solved = map(int, run_fresh(SOLVE_PEAK, str(n)).split())
+        assembled, solved = solve_peak(ASYMMETRIC, n)
         assert assembled < system_kib + 4096
         if n == 512:
             assert solved < 1.5 * system_kib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/proc/self/status and dgesv exported")
+def test_mirrored_solve_holds_half_the_system():
+    # A mirror-symmetric curve's two blocks hold half the full system.  Its
+    # scratch adds a 2 MiB panel buffer to the full assembly's 1.75 MiB, so
+    # at N = 512 the blocks and scratch rise 20.5 MiB, 0.64 of a system, and
+    # the solve 24.2 MiB, 0.60 of the full path's 40.4 MiB: the full path
+    # holds at least 0.4 of a system more, whatever the BLAS buffers take.
+    n = 512
+    system_kib = (4 * n + 3) ** 2 * 8 / 1024
+    assembled, solved = solve_peak(KITE, n)
+    _, full = solve_peak(ASYMMETRIC, n)
+    assert assembled < 0.5 * system_kib + 6144
+    assert solved < full - 0.4 * system_kib
 
 
 ASSEMBLY_FAULTS = """
