@@ -48,7 +48,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import mmap
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -257,15 +256,17 @@ def _write_panel(psi: np.ndarray, phi: np.ndarray, curve: BoundaryCurve, mat: Ma
         _write_real_linear(rows[:, traction], p, np.multiply(0.5 * beta, q, out=t))
 
 
-def _panels(curve: BoundaryCurve, mat: MaterialPair, count: int, at: np.ndarray | None = None):
-    """Write the rows of A^T of the source nodes 0..count-1 one panel at a
-    time, yielding (lo, hi, psi, phi) once the panel's rows are written:
-    into at's rows if given, else into a panel buffer that the next panel
-    refills."""
+def _panel_height(n: int, count: int) -> int:
+    """Sources per panel: the panel's entry budget over N, at most count."""
+    return min(count, max(1, _PANEL_ENTRIES // n))
+
+
+def _panels(curve: BoundaryCurve, mat: MaterialPair, count: int, height: int, destination):
+    """Write the rows of A^T of the source nodes 0..count-1, height at a
+    time, into destination(lo, hi) = (psi rows, phi rows), yielding
+    (lo, hi, psi, phi) once a panel's rows are written."""
     n, dz = curve.n, curve.dz
-    height = min(count, max(1, _PANEL_ENTRIES // n))
     work, real = np.empty((6, height, n), dtype=complex), np.empty((2, height, n))
-    rows = None if at is not None else _mapped_zeros(2, 2 * height, 4 * n)
     # |dz| and the diagonal limits of kern, of the Cauchy kernel and of the
     # interior side's correction v, once per node
     speed = np.abs(dz)
@@ -274,10 +275,7 @@ def _panels(curve: BoundaryCurve, mat: MaterialPair, count: int, at: np.ndarray 
               1j * speed / np.conj(dz))
     for lo in range(0, count, height):
         hi = min(lo + height, count)
-        if at is None:
-            psi, phi = rows[:, : 2 * (hi - lo)]
-        else:
-            psi, phi = at[2 * lo : 2 * hi], at[2 * (n + lo) : 2 * (n + hi)]
+        psi, phi = destination(lo, hi)
         _write_panel(psi, phi, curve, mat, lo, hi, limits, work[:, : hi - lo],
                      real[:, : hi - lo])
         yield lo, hi, psi, phi
@@ -291,7 +289,8 @@ def _assemble(curve: BoundaryCurve, mat: MaterialPair) -> np.ndarray:
 
     # row r of at is the column of unknown r; its columns are the equations
     at = np.zeros((4 * n + 3, 4 * n + 3))
-    for _ in _panels(curve, mat, n, at):
+    for _ in _panels(curve, mat, n, _panel_height(n, n),
+                     lambda lo, hi: (at[2 * lo : 2 * hi], at[2 * (n + lo) : 2 * (n + hi)])):
         pass
 
     # slack columns on the traction rows: the constants 1 and i and the
@@ -430,23 +429,6 @@ def _fold_equations(rows: np.ndarray, axis: complex, even: np.ndarray, odd: np.n
           even[:, n : 2 * n].view(complex))
 
 
-def _mapped_zeros(*shape: int) -> np.ndarray:
-    """A zeroed float array in a private anonymous mapping of its own, given
-    back to the system with the array, with huge pages asked for as numpy
-    asks for them on its own large arrays.  The mirrored path's blocks and
-    panel rows live here because malloc would serve them, after the first,
-    from its heap: freeing a block lifts glibc's mmap threshold to its size
-    and its trim threshold to twice that, so the heap kept up to two
-    blocks' worth of freed pages, and the next full system, which is always
-    mapped, came on top of them (forward_contrast's peak RSS read 107 MiB
-    against 87)."""
-    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-    buffer = mmap.mmap(-1, math.prod(shape) * 8, **private)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buffer.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buffer, dtype=float).reshape(shape)
-
-
 def _solve_mirrored(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
                     traction: np.ndarray, axis: complex) -> tuple[np.ndarray, np.ndarray]:
     """solve_densities for a curve that the reflection across axis through
@@ -461,9 +443,24 @@ def _solve_mirrored(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
     constraints."""
     n, half = curve.n, curve.n // 2
     across, rel = 1j * axis, curve.z - curve.z[0]
-    even, odd = _mapped_zeros(2 * n + 1, 2 * n + 1), _mapped_zeros(2 * n + 2, 2 * n + 2)
+    # One allocation the full system's size holds both blocks and the panel
+    # rows, so that malloc serves every solve at a node count alike.  Blocks
+    # of their own size, freed to the heap, lifted glibc's mmap and trim
+    # thresholds and the heap kept up to two blocks' worth of pages under
+    # the next full system (forward_contrast's peak RSS read 107 MiB against
+    # 87); mapped apart, they came on top of the heap that a full N = 256
+    # system had left (roundtrip_cli, 65.6 MiB against 59.3).  Its untouched
+    # part is never faulted in where the allocation is mapped.  The rows fit
+    # beside the blocks at panels of at most N/2 sources.
+    sizes = (2 * n + 1) ** 2, (2 * n + 2) ** 2
+    memory = np.zeros((4 * n + 3) ** 2)
+    even = memory[: sizes[0]].reshape(2 * n + 1, 2 * n + 1)
+    odd = memory[sizes[0] : sum(sizes)].reshape(2 * n + 2, 2 * n + 2)
+    height = _panel_height(n, half)
+    panel = memory[sum(sizes) : sum(sizes) + 16 * height * n].reshape(2, 2 * height, 4 * n)
     turn = np.array([[axis.real, axis.imag], [-axis.imag, axis.real]])
-    for lo, hi, psi, phi in _panels(curve, mat, half + 1):
+    for lo, hi, psi, phi in _panels(curve, mat, half + 1, height,
+                                    lambda lo, hi: panel[:, : 2 * (hi - lo)]):
         for offset, rows in ((0, psi), (n, phi)):
             for node, slot in ((0, offset), (half, offset + 1)):
                 if lo <= node < hi:
