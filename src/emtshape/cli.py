@@ -16,10 +16,11 @@ A run is configured by a single JSON document
 
 with ``nodes`` (default NODES) and ``noise`` optional.  Every object of a
 config or table document holds only its declared keys, each once
-(``geometry.check_keys``); ``order`` must stay below ``nodes``/2, the
-highest mode the quadrature resolves.  The flags ``--order``, ``--nodes``,
-``--noise-var``, ``--seed`` and ``--out`` override the corresponding fields,
-which are still read and must be valid.  ``--noise-var`` and ``--seed``
+(``geometry.check_keys``); ``order`` must stay below ``nodes``/2 - 1,
+since the traction operators lift mode ``nodes``/2 - 1 to the Nyquist
+mode.  The flags ``--order``, ``--nodes``, ``--noise-var``, ``--seed`` and
+``--out`` override the corresponding fields, which are still read and must
+be valid.  ``--noise-var`` and ``--seed``
 replace the fields of the noise block; ``--noise-var`` without a block draws
 with seed 0, and ``--seed`` needs a variance.  ``reconstruct`` rejects
 ``--noise-var`` and ``--seed``, and its help does not list them, since its
@@ -112,9 +113,9 @@ class RunConfig:
             raise ConfigError("order must be a positive integer")
         if self.nodes < 4 or self.nodes % 2:
             raise ConfigError("nodes must be an even integer >= 4")
-        # z^order has mode `order` even on a disk; the grid resolves 2|k| < nodes
-        if 2 * self.order >= self.nodes:
-            raise ConfigError(f"order {self.order} needs nodes > {2 * self.order}, "
+        # as emt.emt_table: mode nodes/2 - 1 is lifted to the Nyquist mode
+        if 2 * self.order + 4 > self.nodes:
+            raise ConfigError(f"order {self.order} needs nodes >= {2 * self.order + 4}, "
                               f"got {self.nodes}")
 
 

@@ -76,7 +76,7 @@ class EmtTable:
 def emt_table(curve: BoundaryCurve, mat: MaterialPair, order: int) -> EmtTable:
     """All entries with n, m <= order and t, s in {1, 2}; raises
     SolverError when they are not finite, and ValueError when the curve's
-    N nodes do not resolve the order (2 order < N).
+    N nodes do not resolve the order (order <= N/2 - 2).
 
     The transmission system is factorized once; the 2*order fields h_n^(t)
     serve both as right-hand sides and as test fields, so the table is one
@@ -84,9 +84,10 @@ def emt_table(curve: BoundaryCurve, mat: MaterialPair, order: int) -> EmtTable:
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
-    # z^order has mode `order` even on a disk; the grid resolves 2|k| < N
-    if 2 * order >= curve.n:
-        raise ValueError(f"order {order} needs more than {2 * order} nodes, got {curve.n}")
+    # z^order has mode `order` even on a disk, and the traction operators'
+    # factor z_j - z_l lifts mode N/2 - 1 to the Nyquist mode
+    if 2 * order + 4 > curve.n:
+        raise ValueError(f"order {order} needs at least {2 * order + 4} nodes, got {curve.n}")
     # rows (n, t) and columns (m, s) flattened as 2(n-1) + (t-1)
     with np.errstate(all="ignore"):  # a curve far from unit size overflows
         h, traction = evaluate_background(curve, mat.background.mu, order)

@@ -30,17 +30,23 @@ rows, so the system is held once per solve; np.linalg.solve, which copies
 it, runs only on builds where that symbol is not found.
 
 A curve that is mirror-symmetric about the line through its nodes 0 and
-N/2, node N - j the mirror image of node j to a few ulps (the kite, the
-starfish, ellipses, disks, and perturbed disks with real modes, all
-sampled by geometry.sample), is solved as two blocks of size 2N + 1 and
-2N + 2, the parts of the system that the reflection keeps and flips: half
-the panels are written, each folded over the node pairs into both blocks,
-and the two LUs take a quarter of the flops and half the memory.  Every
-other curve takes the full system.  The blocks solve the same equations
-in other combinations, so the tables differ from the full system's by
-round-off only: at most 3e-14 of the largest entry over the kite,
-starfish, ellipse and an off-center disk at N = 64 to 256 and order 12,
-for soft, stiff and near-rigid inclusions.
+N/2, node N - j the mirror image of node j to a few ulps, is solved as the
+parts of the system that the reflection keeps and flips.  When N is a
+multiple of 4 and node N/2 - j also mirrors node j across the line through
+the nodes N/4 and 3N/4, the two reflections split it into four parts.  As
+sampled by geometry.sample, ellipses and disks have two axes; the kite,
+the starfish and perturbed disks with real modes one; perturbed disks with
+complex modes and general Fourier curves none, and take the full system.
+One axis gives two blocks of size 2N + 1 and 2N + 2, two axes four of
+N, N + 1, N + 1 and N + 1: the panels of the orbits' first nodes are
+written, each folded over the orbits into every block, and the LUs take a
+quarter or a sixteenth of the flops.  Per solve (stiff ellipse, 1 BLAS
+thread) the four blocks take 7.1 ms against 12.0 ms for two at N = 256
+(12 fields), and 27.3 ms against 57.8 ms at N = 512 (24 fields).  The
+blocks solve the same equations in other combinations, so the tables
+differ from the full system's by round-off only: at most 7e-14 of the
+largest entry over the kite, starfish, ellipses and an off-center disk at
+N = 64 to 256 and order 12, for soft, stiff and near-rigid inclusions.
 """
 
 from __future__ import annotations
@@ -375,133 +381,197 @@ def _solve_in_place(a: np.ndarray, b: np.ndarray) -> None:
 # itself, the system commutes with it: A P = Q A, where P reflects both
 # densities node by node, and Q reflects the trace rows and, with a minus
 # sign, the traction rows, which are written in dG/dtheta variables and so
-# change sign with the direction of theta.  Taken about z_0, the rigid
-# motions e^{i alpha}, i e^{i alpha} and -i (z - z_0) and the slack fields
-# i e^{i alpha}, e^{i alpha} and z - z_0 each keep or flip their sign.  The
-# system splits into an even block of size 2N + 1 and an odd one of 2N + 2:
-# half the panels fill both, and the two LUs take a quarter of the flops.
+# change sign with the direction of theta.  A second reflection, across the
+# perpendicular line through z_{N/4} and z_{3N/4} (ellipses and disks), maps
+# node j to node N/2 - j and u to -e^{2i alpha} conj(u); the two commute.
+# Each of the 2 or 4 characters of the group, the sign each reflection
+# keeps or flips, is one block: block b is kept by reflection r where bit r
+# of b is 0, the first axis the high bit, and the traction rows that land in
+# it are those its bits all flip.  Taken about the axes' intersection (z_0
+# for one axis), the rigid motions e^{i alpha}, i e^{i alpha} and
+# -i (z - z_c) and the slack fields i e^{i alpha}, e^{i alpha} and z - z_c
+# each lie in one block.  One axis gives blocks of 2N + 1 and 2N + 2, two
+# axes blocks of N, N + 1, N + 1 and N + 1; the panels are written for the
+# orbits' first nodes only, 0..N/2 or 0..N/4.
 
 # how far, in units of the rounding error of max|z - z_0| and max|dz|, the
-# nodes and their derivatives may miss the reflection for a curve to take
-# the mirrored path
+# nodes and their derivatives may miss a reflection for a curve to take the
+# mirrored path
 _MIRROR_ULPS = 16
 
 
-def _mirror_axis(curve: BoundaryCurve) -> complex | None:
-    """e^{i alpha} of the line through z_0 and z_{N/2} when the reflection
-    across it maps every node j, and its derivative reversed, onto node
-    N - j to round-off; None when it does not."""
+def _reflection(curve: BoundaryCurve, first: int, mirror: np.ndarray) -> complex | None:
+    """e^{i alpha} of the line through z_first and z_{first + N/2} when the
+    reflection across it maps every node j, and its derivative reversed,
+    onto node mirror[j] to round-off; None when it does not."""
     n, z, dz = curve.n, curve.z, curve.dz
-    chord = z[n // 2] - z[0]
+    chord = z[first + n // 2] - z[first]
     if not abs(chord) > 0.0:
         return None
     axis = chord / abs(chord)
-    rho, mirror, rel = axis * axis, -np.arange(n) % n, z - z[0]
+    rho, rel = axis * axis, z - z[first]
     misses = (np.abs(rel[mirror] - rho * np.conj(rel)).max() / np.abs(rel).max(),
               np.abs(dz[mirror] + rho * np.conj(dz)).max() / np.abs(dz).max())
     return axis if all(miss <= _MIRROR_ULPS * np.finfo(float).eps for miss in misses) else None
 
 
-def _fold(y: np.ndarray, axis: complex, keep: np.ndarray, flip: np.ndarray) -> None:
-    """Fold nodal values y over the node pairs (j, N - j) into the parts
-    that the reflection R keeps and flips, N/2 complex entries each on the
-    last axis: y_j + R y_{N-j} and y_j - R y_{N-j} for j = 1..N/2-1.  At
-    the nodes 0 and N/2 on the axis each part has one real degree of
-    freedom, the component of y along the axis (keep) or across it (flip),
-    which entry 0 holds for node 0 in Re and for node N/2 in Im."""
+def _mirror_axis(curve: BoundaryCurve) -> complex | None:
+    """e^{i alpha} of the line through z_0 and z_{N/2} when the reflection
+    across it maps node j onto node N - j (_reflection); None when not."""
+    return _reflection(curve, 0, -np.arange(curve.n) % curve.n)
+
+
+def _fold_pairs(y: np.ndarray, axis: complex, keep: np.ndarray, flip: np.ndarray) -> None:
+    """y_j + R y_{L-j} into keep and y_j - R y_{L-j} into flip, entries
+    j = 1..L/2-1, with L the length of y's last axis and R u = axis^2 conj(u)."""
     half = y.shape[-1] // 2
-    for out, w in ((keep, np.conj(axis)), (flip, -1j * np.conj(axis))):
-        out[..., 0] = (w * y[..., 0]).real + 1j * (w * y[..., half]).real
     mirrored = np.conj(y[..., :half:-1])
     mirrored *= axis * axis
     np.add(y[..., 1:half], mirrored, out=keep[..., 1:])
     np.subtract(y[..., 1:half], mirrored, out=flip[..., 1:])
 
 
-def _fold_equations(rows: np.ndarray, axis: complex, even: np.ndarray, odd: np.ndarray) -> None:
-    """Fold the equation columns of rows of A^T into the rows even and odd
-    of the blocks' transposes: the even block keeps what R keeps of the
-    trace rows and flips of the traction rows."""
+def _fold(y: np.ndarray, axes: tuple, parts) -> None:
+    """Fold nodal values y over the orbits of the reflections across axes
+    into parts[b], N / 2^k complex entries each on the last axis: the sums
+    over each orbit {j, N - j} or {j, N - j, N/2 - j, N/2 + j} of y and its
+    reflections, signed by b's bits, for the first nodes j = 1.. of the
+    orbits.  At a node that a reflection fixes each part has one real degree
+    of freedom, the component along that reflection's axis (kept) or across
+    it (flipped), weighed by conj(axis) or conj(i axis).  Entry 0 holds the
+    nodes 0 and N/2 (one axis) in Re and Im, or the orbits {0, N/2} and
+    {N/4, 3N/4} (two axes)."""
+    half = y.shape[-1] // 2
+    halves = parts if len(axes) == 1 else np.empty((2, *y.shape[:-1], half), dtype=complex)
+    _fold_pairs(y, axes[0], *halves)
+    for out, w in zip(halves, (np.conj(axes[0]), -1j * np.conj(axes[0]))):
+        out[..., 0] = (w * y[..., 0]).real + 1j * (w * y[..., half]).real
+    if len(axes) == 2:
+        # R_2 swaps the nodes 0 and N/2 of entry 0 and maps their component
+        # along the first axis (t = 1) or across it (t = -1) to -t times it
+        for t, p, quarters in zip((1.0, -1.0), halves, (parts[:2], parts[2:])):
+            _fold_pairs(p, axes[1], *quarters)
+            for u, out, w in zip((1.0, -1.0), quarters, (np.conj(axes[1]), -1j * np.conj(axes[1]))):
+                out[..., 0] = (p[..., 0].real - t * u * p[..., 0].imag
+                               + 1j * (w * p[..., half // 2]).real)
+
+
+def _unpair(keep: np.ndarray, flip: np.ndarray, axis: complex, out: np.ndarray) -> None:
+    """The inverse of _fold_pairs on entries 1..L/2-1 of out and their mirrors."""
+    half = keep.shape[-1]
+    out[..., 1:half] = 0.5 * (keep[..., 1:] + flip[..., 1:])
+    out[..., :half:-1] = (0.5 * axis * axis) * np.conj(keep[..., 1:] - flip[..., 1:])
+
+
+def _unfold(parts, axes: tuple, out: np.ndarray) -> None:
+    """Nodal values (last axis N) into out from their parts, the inverse of
+    _fold on the unknowns."""
+    half = out.shape[-1] // 2
+    if len(axes) == 2:
+        halves = np.empty((2, *out.shape[:-1], half), dtype=complex)
+        for t, p, (keep, flip) in zip((1.0, -1.0), halves, (parts[:2], parts[2:])):
+            _unpair(keep, flip, axes[1], p)
+            p[..., half // 2] = axes[1] * (keep[..., 0].imag + 1j * flip[..., 0].imag)
+            p[..., 0] = (0.5 * (keep[..., 0].real + flip[..., 0].real)
+                         + (0.5j * t) * (flip[..., 0].real - keep[..., 0].real))
+        parts = halves
+    keep, flip = parts
+    out[..., 0] = axes[0] * (keep[..., 0].real + 1j * flip[..., 0].real)
+    out[..., half] = axes[0] * (keep[..., 0].imag + 1j * flip[..., 0].imag)
+    _unpair(keep, flip, axes[0], out)
+
+
+def _fold_equations(rows: np.ndarray, axes: tuple, blocks) -> None:
+    """Fold the equation columns of rows of A^T into the rows blocks[b] of
+    the blocks' transposes: block b takes part b of the trace rows and the
+    part of the traction rows whose every bit differs."""
     n = rows.shape[-1] // 4
-    _fold(rows[:, : 2 * n].view(complex), axis, even[:, :n].view(complex),
-          odd[:, :n].view(complex))
-    _fold(rows[:, 2 * n :].view(complex), axis, odd[:, n : 2 * n].view(complex),
-          even[:, n : 2 * n].view(complex))
+    m = n >> len(axes)
+    _fold(rows[:, : 2 * n].view(complex), axes, [b[:, : 2 * m].view(complex) for b in blocks])
+    _fold(rows[:, 2 * n :].view(complex), axes,
+          [b[:, 2 * m : 4 * m].view(complex) for b in blocks[::-1]])
 
 
 def _solve_mirrored(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
-                    traction: np.ndarray, axis: complex) -> tuple[np.ndarray, np.ndarray]:
-    """solve_densities for a curve that the reflection across axis through
-    z_0 maps onto itself, as the even and the odd block.
+                    traction: np.ndarray, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """solve_densities for a curve that the reflections across axes map
+    onto itself, as one block per character.
 
     Each block's transpose is filled in C order like A^T.  Its rows are the
-    unknowns: per density N coordinates, rows 2l and 2l + 1 the (Re, Im) of
-    c_l for node pairs l = 1..N/2-1, with u_l = (c_l^even + c_l^odd)/2 and
-    u_{N-l} = R (c_l^even - c_l^odd)/2, and rows 0 and 1 the components of
-    u_0 and u_{N/2} along the axis (even) or across it (odd); then the
-    slacks.  Its columns are the folded trace and traction rows, then the
+    unknowns: per density 2M coordinates, M = N / 2^k, rows 2l and 2l + 1
+    the (Re, Im) of the folded density (_fold) at the orbit of node l for
+    l = 1..M-1, and rows 0 and 1 the components of the densities at the
+    nodes 0 and M along the direction the block keeps; then the slacks.
+    Its columns are the folded trace and traction rows, then the
     constraints."""
-    n, half = curve.n, curve.n // 2
-    across, rel = 1j * axis, curve.z - curve.z[0]
-    # One allocation the full system's size holds both blocks and the panel
+    n, k = curve.n, len(axes)
+    m, count = n >> k, 2**k
+    axis, across = axes[0], 1j * axes[0]
+    rel = curve.z - (curve.z[0] if k == 1 else 0.5 * (curve.z[0] + curve.z[n // 2]))
+    # each slack field on the traction rows with the rigid motion that the
+    # constraints pair phi with in the same block, and that block
+    pairs = (across, axis), (axis, across), (rel, -1j * rel)
+    owners = (0, 1, 1) if k == 1 else (1, 2, 3)
+    # One allocation the full system's size holds the blocks and the panel
     # rows, so that malloc serves every solve at a node count alike.  Blocks
     # of their own size, freed to the heap, lifted glibc's mmap and trim
     # thresholds and the heap kept up to two blocks' worth of pages under
     # the next full system (forward_contrast's peak RSS read 107 MiB against
     # 87); mapped apart, they came on top of the heap that a full N = 256
     # system had left (roundtrip_cli, 65.6 MiB against 59.3).  Its untouched
-    # part is never faulted in where the allocation is mapped.  The rows fit
-    # beside the blocks at panels of at most N/2 sources.
-    sizes = (2 * n + 1) ** 2, (2 * n + 2) ** 2
+    # part is never faulted in where the allocation is mapped.
+    sizes = [4 * m + owners.count(b) for b in range(count)]
     memory = np.zeros((4 * n + 3) ** 2)
-    even = memory[: sizes[0]].reshape(2 * n + 1, 2 * n + 1)
-    odd = memory[sizes[0] : sum(sizes)].reshape(2 * n + 2, 2 * n + 2)
-    height = _panel_height(n, half)
-    panel = memory[sum(sizes) : sum(sizes) + 16 * height * n].reshape(2, 2 * height, 4 * n)
-    turn = np.array([[axis.real, axis.imag], [-axis.imag, axis.real]])
-    for lo, hi, psi, phi in _panels(curve, mat, half + 1, height,
+    bounds = np.cumsum([0] + [size * size for size in sizes])
+    blocks = [memory[lo:hi].reshape(size, size)
+              for lo, hi, size in zip(bounds, bounds[1:], sizes)]
+    # panels of as many sources as fit beside the blocks
+    height = min(_panel_height(n, m + 1), (memory.size - bounds[-1]) // (16 * n))
+    panel = memory[bounds[-1] : bounds[-1] + 16 * height * n].reshape(2, 2 * height, 4 * n)
+    # the nodes 0 and M, each fixed by the first or the last reflection,
+    # whose bit in the block index picks the row along or across its axis
+    ends = (0, axes[0], k - 1), (m, axes[-1], 0)
+    for lo, hi, psi, phi in _panels(curve, mat, m + 1, height,
                                     lambda lo, hi: panel[:, : 2 * (hi - lo)]):
-        for offset, rows in ((0, psi), (n, phi)):
-            for node, slot in ((0, offset), (half, offset + 1)):
+        for offset, rows in ((0, psi), (2 * m, phi)):
+            for slot, (node, end_axis, shift) in enumerate(ends):
                 if lo <= node < hi:
-                    # u_node along and across the axis, the even and odd row
                     pair = rows[2 * (node - lo) : 2 * (node - lo) + 2]
-                    pair[...] = turn @ pair
-                    folded = np.empty((2, 2, 2 * n))
-                    _fold_equations(pair, axis, *folded)
-                    even[slot, : 2 * n], odd[slot, : 2 * n] = folded[0, 0], folded[1, 1]
-            first, last = max(lo, 1), min(hi, half)
+                    pair[...] = np.array([[end_axis.real, end_axis.imag],
+                                          [-end_axis.imag, end_axis.real]]) @ pair
+                    folded = np.empty((count, 2, 4 * m))
+                    _fold_equations(pair, axes, folded)
+                    for b, block in enumerate(blocks):
+                        block[offset + slot, : 4 * m] = folded[b, (b >> shift) & 1]
+            first, last = max(lo, 1), min(hi, m)
             if first < last:
-                _fold_equations(rows[2 * (first - lo) : 2 * (last - lo)], axis,
-                                even[offset + 2 * first : offset + 2 * last],
-                                odd[offset + 2 * first : offset + 2 * last])
+                _fold_equations(rows[2 * (first - lo) : 2 * (last - lo)], axes,
+                                [block[offset + 2 * first : offset + 2 * last]
+                                 for block in blocks])
 
-    # the slack fields on the traction rows, one even and two odd
+    # the slack rows and the constraint columns; at the nodes 0 and M the
+    # unknown is phi's component along the direction the block keeps
     slacks = np.zeros((3, 4 * n))
-    slacks[:, 2 * n :] = np.array([np.full(n, across), np.full(n, axis), rel]).view(float)
-    folded = np.empty((2, 3, 2 * n))
-    _fold_equations(slacks, axis, *folded)
-    even[2 * n :, : 2 * n], odd[2 * n :, : 2 * n] = folded[0, :1], folded[1, 1:]
-    # the constraints pair phi with the rigid motions, one even and two odd;
-    # on the axis the unknown is u's component along or across it
-    for block, along, motions in ((even, axis, [axis]), (odd, across, [across, -1j * rel])):
-        for c, motion in enumerate(motions):
+    slacks[:, 2 * n :] = np.array([np.broadcast_to(field, n) for field, _ in pairs]).view(float)
+    folded = np.empty((count, 3, 4 * m))
+    _fold_equations(slacks, axes, folded)
+    for b, block in enumerate(blocks):
+        mine = [c for c, owner in enumerate(owners) if owner == b]
+        block[4 * m :, : 4 * m] = folded[b, mine]
+        keeps = [end_axis * (1j if (b >> shift) & 1 else 1.0) for _, end_axis, shift in ends]
+        for c, motion in enumerate(pairs[i][1] for i in mine):
             pairing = curve.weight * motion
-            column = block[n : 2 * n, 2 * n + c]
-            column[:2] = (np.conj(along) * pairing[[0, half]]).real
-            column[2:] = pairing[1:half].view(float)
+            column = block[2 * m : 4 * m, 4 * m + c]
+            column[:2] = (np.conj(keeps) * pairing[[0, m]]).real
+            column[2:] = pairing[1:m].view(float)
 
     fields = np.multiply(0.5j * np.abs(curve.dz), traction)  # = mu * dG_H/dtheta
-    rhs = [np.zeros((len(h), len(block))) for block in (even, odd)]
-    _fold_equations(np.concatenate([h, fields], axis=1).view(float), axis, *rhs)
-    for block, b in zip((even, odd), rhs):
+    rhs = [np.zeros((len(h), size)) for size in sizes]
+    _fold_equations(np.concatenate([h, fields], axis=1).view(float), axes, rhs)
+    for block, b in zip(blocks, rhs):
         _solve_in_place(block.T, b)
-    c_even, c_odd = (b[:, : 2 * n].view(complex).reshape(len(h), 2, half) for b in rhs)
     densities = np.empty((len(h), 2, n), dtype=complex)
-    densities[..., 0] = axis * (c_even[..., 0].real + 1j * c_odd[..., 0].real)
-    densities[..., half] = axis * (c_even[..., 0].imag + 1j * c_odd[..., 0].imag)
-    densities[..., 1:half] = 0.5 * (c_even[..., 1:] + c_odd[..., 1:])
-    densities[..., :half:-1] = (0.5 * axis * axis) * np.conj(c_even[..., 1:] - c_odd[..., 1:])
+    _unfold([b[:, : 4 * m].view(complex).reshape(len(h), 2, m) for b in rhs], axes, densities)
     return densities[:, 0], densities[:, 1]
 
 
@@ -509,13 +579,16 @@ def solve_densities(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
                     traction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the transmission system for the fields whose values h and
     tractions stack on axis 0, shape (fields, N); the matrix is assembled
-    and factorized a single time, as two half-size blocks when the curve is
-    mirror-symmetric (_mirror_axis).  Returns the densities (psi, phi), each
-    of shape (fields, N)."""
+    and factorized a single time, as two half-size or four quarter-size
+    blocks when the curve is mirror-symmetric about one axis (_mirror_axis)
+    or two.  Returns the densities (psi, phi), each of shape (fields, N)."""
+    n = curve.n
     axis = _mirror_axis(curve)
     if axis is not None:
-        return _solve_mirrored(curve, mat, h, traction, axis)
-    n = curve.n
+        # the second axis, through z_{N/4} and z_{3N/4}, maps node j onto N/2 - j
+        if n % 4 == 0 and _reflection(curve, n // 4, (n // 2 - np.arange(n)) % n) is not None:
+            return _solve_mirrored(curve, mat, h, traction, (axis, 1j * axis))
+        return _solve_mirrored(curve, mat, h, traction, (axis,))
     a = _assemble(curve, mat)
     b = _rhs(curve, h, traction)  # after the assembly, so not beside its scratch
     _solve_in_place(a, b)

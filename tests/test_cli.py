@@ -202,6 +202,7 @@ def test_undecodable_document_exits_2(tmp_path, command, text):
     pytest.param({}, {"noise_var": 0.5}, (4, 64, NoiseModel(0.5, 0)), id="noise-var-alone"),
     pytest.param({"order": 32, "nodes": 64}, {"nodes": 128}, (32, 128, None),
                  id="nodes-flag-resolves-order"),
+    pytest.param({"order": 6, "nodes": 64}, {"order": 31}, None, id="order-flag-aliased"),
     pytest.param({"noise": {"sigma2": "x", "seed": 1}}, {"noise_var": 0.5}, None,
                  id="malformed-block-with-noise-var"),
     pytest.param({"noise": [0.02, 11]}, {"noise_var": 0.5}, None,
@@ -263,6 +264,7 @@ def test_load_config_overrides(tmp_path, overrides, flags, expected):
     lambda c: c["materials"].update(matrix={"lambda": 1.5, "mu": 1.2}),
     lambda c: c["materials"]["background"].update(nu=3),
     lambda c: c.update(noise={"sigma2": 0.01, "seed": 1, "sigma": 0.1}),
+    lambda c: c.update(order=31, nodes=64),
 ])
 def test_invalid_config_exits_2(tmp_path, break_config):
     config = {**BASE_CONFIG}

@@ -215,13 +215,16 @@ def test_json_malformed_documents(mutate, match):
         table_from_json(doc)
 
 
-@pytest.mark.parametrize("nodes,order", [(12, 6), (16, 8), (16, 9)])
+@pytest.mark.parametrize("nodes,order", [(12, 6), (16, 8), (16, 9), (16, 7), (32, 15), (64, 31)])
 def test_table_order_must_be_resolved(nodes, order):
     # z^order has mode order, which 2 order >= N nodes alias: unchecked, a
     # disk read 4.1 (N = 12, order 6) and 6.1 (N = 16, order 8) off its
-    # closed form, relative to its largest entry
+    # closed form, relative to its largest entry.  Order N/2 - 1 is aliased
+    # too, since the traction operators' factor z_j - z_l lifts its mode to
+    # the Nyquist mode: Disk(0.3 + 0.2i, 1) read 0.27 (N = 16), 2.3e-3
+    # (N = 32) and 1.5e-7 (N = 64) off its closed form
     curve = sample(Disk(0.0, 1.0), nodes)
-    with pytest.raises(ValueError, match=f"order {order} needs more than {2 * order} nodes"):
+    with pytest.raises(ValueError, match=f"order {order} needs at least {2 * order + 4} nodes"):
         emt_table(curve, SOFT, order)
     exact = disk_emt_table(SOFT, 1.0, 0.0, nodes // 2 - 2)
     table = emt_table(curve, SOFT, nodes // 2 - 2)

@@ -382,8 +382,8 @@ def test_in_place_solve_matches_numpy(monkeypatch, nodes):
 
 
 def test_fallback_solve_matches_in_place(monkeypatch):
-    # both the full system and the mirrored blocks
-    for shape in (ASYMMETRIC, KITE):
+    # the full system and the mirrored blocks over one and two axes
+    for shape in (ASYMMETRIC, KITE, Ellipse(0.3 + 0.2j, 1.2, 0.8)):
         curve = sample(shape, 128)
         h, traction = evaluate_background(curve, STIFF.background.mu, 12)
         expected = solve_densities(curve, STIFF, h, traction)
@@ -402,29 +402,107 @@ def rotated(shape, angle, shift):
                               for m in modes), min_index=min(k))
 
 
+def factored_sizes(monkeypatch, curve, mat, order=12):
+    # the table and the sizes of the systems the solve factors, in order
+    sizes, solve = [], transmission._solve_in_place
+
+    def recording(a, b):
+        sizes.append(len(a))
+        solve(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(transmission, "_solve_in_place", recording)
+        return emt_table(curve, mat, order).values, sizes
+
+
+def full_table(monkeypatch, curve, mat, order=12):
+    with monkeypatch.context() as patch:
+        patch.setattr(transmission, "_mirror_axis", lambda curve: None)
+        return emt_table(curve, mat, order).values
+
+
+def one_axis(n):
+    return [2 * n + 1, 2 * n + 2]
+
+
+def two_axes(n):
+    return [n, n + 1, n + 1, n + 1]
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="Linux numpy builds export dgesv")
 @pytest.mark.parametrize("inclusion", [(0.6, 0.4), (1.8, 1.5), (30.0, 20.0)])
 @pytest.mark.parametrize("shape", [Kite(0.2, 0.65), Starfish(0.3 + 0.1j, 0.125, 5),
                                    Ellipse(0.3 + 0.2j, 1.2, 0.8), Disk(-0.9 + 1.2j, 1.0),
-                                   rotated(Kite(0.2, 0.65), 0.7, 0.3 - 0.4j)])
+                                   rotated(Kite(0.2, 0.65), 0.7, 0.3 - 0.4j),
+                                   Ellipse(0.0, 2.0, 0.5)])
 def test_mirrored_solve_matches_full_system(monkeypatch, shape, inclusion):
-    # a mirror-symmetric curve is solved as two half-size blocks, in place,
-    # and its table agrees with the full system's to round-off
+    # a mirror-symmetric curve is solved as two half-size blocks, and an
+    # ellipse or disk, with a second axis, as four quarter-size ones, in
+    # place; its table agrees with the full system's to round-off
     def copying_solve(*args, **kwargs):
         raise AssertionError("np.linalg.solve copies the system")
 
     mat = MaterialPair(SOFT.background, LameConstants(*inclusion))
+    blocks = two_axes if isinstance(shape, (Ellipse, Disk)) else one_axis
     for nodes in (64, 100, 128, 256):
         curve = sample(shape, nodes)
         assert _mirror_axis(curve) is not None
-        with monkeypatch.context() as patch:
-            patch.setattr(transmission, "_mirror_axis", lambda curve: None)
-            full = emt_table(curve, mat, 12).values
+        full = full_table(monkeypatch, curve, mat)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "solve", copying_solve)
             patch.setattr(transmission, "_assemble", None)
-            mirrored = emt_table(curve, mat, 12).values
+            mirrored, sizes = factored_sizes(patch, curve, mat)
+        assert sizes == blocks(nodes)
         assert np.abs(mirrored - full).max() <= 1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("nodes", [66, 130])
+def test_ellipse_off_a_multiple_of_four_takes_one_axis(monkeypatch, nodes):
+    # at N = 2 mod 4 no node lies on the second axis, so the orbits do not
+    # close and the solve splits over the first axis alone
+    curve = sample(Ellipse(0.3 + 0.2j, 1.2, 0.8), nodes)
+    table, sizes = factored_sizes(monkeypatch, curve, STIFF)
+    assert sizes == one_axis(nodes)
+    full = full_table(monkeypatch, curve, STIFF)
+    assert np.abs(table - full).max() <= 1e-12 * np.abs(full).max()
+
+
+def test_curve_off_its_second_axis_takes_one_axis(monkeypatch):
+    # a real e^{2i theta} mode of 1e-9 keeps the ellipse's first axis and
+    # breaks its second, so the solve splits over the first alone
+    ellipse = Ellipse(0.3 + 0.2j, 1.2, 0.8)
+    for push, blocks in ((0.0, two_axes), (1e-9, one_axis)):
+        curve = sample(FourierCurve((0.2, 0.3 + 0.2j, 1.0, push), min_index=-1), 128)
+        assert np.abs(curve.z - sample(ellipse, 128).z).max() <= 1e-9 + 1e-15
+        assert _mirror_axis(curve) is not None
+        table, sizes = factored_sizes(monkeypatch, curve, STIFF)
+        assert sizes == blocks(128)
+        full = full_table(monkeypatch, curve, STIFF)
+        assert np.abs(table - full).max() <= 1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("nodes", [16, 100, 256])
+def test_panel_partition_leaves_the_two_axis_solve_unchanged(monkeypatch, nodes):
+    curve = sample(Ellipse(0.3 + 0.2j, 1.2, 0.8), nodes)
+    h, traction = evaluate_background(curve, STIFF.background.mu, 6)
+    expected = solve_densities(curve, STIFF, h, traction)
+    for panel in (1, 7, nodes // 4 + 1):
+        monkeypatch.setattr(transmission, "_PANEL_ENTRIES", panel * nodes)
+        for got, want in zip(solve_densities(curve, STIFF, h, traction), expected):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("axes", [(np.exp(0.7j),), (np.exp(0.7j), 1j * np.exp(0.7j))])
+def test_fold_inverts_on_the_unknowns(axes):
+    # the unknowns are the folded densities, so unfolding the folded values
+    # of any nodal field gives them back
+    rng = np.random.default_rng(1)
+    u = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
+    parts = np.empty((2 ** len(axes), 3, 32 >> len(axes)), dtype=complex)
+    transmission._fold(u, axes, list(parts))
+    back = np.empty_like(u)
+    transmission._unfold(list(parts), axes, back)
+    assert np.abs(back - u).max() <= 1e-15 * np.abs(u).max() * 32
 
 
 def test_curve_off_symmetry_takes_the_full_system(monkeypatch):
@@ -535,6 +613,10 @@ def test_mirrored_solve_holds_half_the_system():
     _, full = solve_peak(ASYMMETRIC, n)
     assert assembled < 0.5 * system_kib + 8192
     assert solved < full - 0.4 * system_kib
+    # an ellipse's four blocks hold a quarter of the system in the same
+    # allocation: 13.7 MiB at the first LU and 15.0 MiB at the end
+    two_axis = solve_peak(Ellipse(0.3 + 0.2j, 1.2, 0.8), n)
+    assert two_axis[0] <= assembled and two_axis[1] <= solved
 
 
 ASSEMBLY_FAULTS = """
