@@ -384,13 +384,13 @@ def _solve_in_place(a: np.ndarray, b: np.ndarray) -> None:
 # change sign with the direction of theta.  A second reflection, across the
 # perpendicular line through z_{N/4} and z_{3N/4} (ellipses and disks), maps
 # node j to node N/2 - j and u to -e^{2i alpha} conj(u); the two commute.
-# Each of the 2 or 4 characters of the group, the sign each reflection
-# keeps or flips, is one block: block b is kept by reflection r where bit r
-# of b is 0, the first axis the high bit, and the traction rows that land in
-# it are those its bits all flip.  Taken about the axes' intersection (z_0
-# for one axis), the rigid motions e^{i alpha}, i e^{i alpha} and
-# -i (z - z_c) and the slack fields i e^{i alpha}, e^{i alpha} and z - z_c
-# each lie in one block.  One axis gives blocks of 2N + 1 and 2N + 2, two
+# Each choice of sign per reflection is one block: block b holds the
+# unknowns and trace rows that reflection r keeps where bit r of b is 0 and
+# flips where it is 1, the first axis the high bit, and the traction rows of
+# the opposite signs.  Taken about the axes' intersection z_c (z_0 for one
+# axis), the rigid motions e^{i alpha}, i e^{i alpha} and -i (z - z_c) and
+# the slack fields i e^{i alpha}, e^{i alpha} and z - z_c each lie in one
+# block.  One axis gives blocks of 2N + 1 and 2N + 2, two
 # axes blocks of N, N + 1, N + 1 and N + 1; the panels are written for the
 # orbits' first nodes only, 0..N/2 or 0..N/4.
 
@@ -449,9 +449,10 @@ def _fold(y: np.ndarray, axes: tuple, parts) -> None:
     if len(axes) == 2:
         # R_2 swaps the nodes 0 and N/2 of entry 0 and maps their component
         # along the first axis (t = 1) or across it (t = -1) to -t times it
+        weights = np.conj(axes[1]), -1j * np.conj(axes[1])
         for t, p, quarters in zip((1.0, -1.0), halves, (parts[:2], parts[2:])):
             _fold_pairs(p, axes[1], *quarters)
-            for u, out, w in zip((1.0, -1.0), quarters, (np.conj(axes[1]), -1j * np.conj(axes[1]))):
+            for u, out, w in zip((1.0, -1.0), quarters, weights):
                 out[..., 0] = (p[..., 0].real - t * u * p[..., 0].imag
                                + 1j * (w * p[..., half // 2]).real)
 
