@@ -34,8 +34,9 @@ N/2, node N - j the mirror image of node j to a few ulps, is solved as the
 parts of the system that the reflection keeps and flips.  When N is a
 multiple of 4 and node N/2 - j also mirrors node j across the line through
 the nodes N/4 and 3N/4, the two reflections split it into four parts.  As
-sampled by geometry.sample, ellipses and disks have two axes; the kite,
-the starfish and perturbed disks with real modes one; perturbed disks with
+sampled by geometry.sample, ellipses, disks, and starfish and real-mode
+perturbed disks whose modes are all even have two axes; the kite and the
+other starfish and real-mode perturbed disks one; perturbed disks with
 complex modes and general Fourier curves none, and take the full system.
 One axis gives two blocks of size 2N + 1 and 2N + 2, two axes four of
 N, N + 1, N + 1 and N + 1: the panels of the orbits' first nodes are
@@ -382,7 +383,7 @@ def _solve_in_place(a: np.ndarray, b: np.ndarray) -> None:
 # densities node by node, and Q reflects the trace rows and, with a minus
 # sign, the traction rows, which are written in dG/dtheta variables and so
 # change sign with the direction of theta.  A second reflection, across the
-# perpendicular line through z_{N/4} and z_{3N/4} (ellipses and disks), maps
+# perpendicular line through z_{N/4} and z_{3N/4} (ellipses, disks), maps
 # node j to node N/2 - j and u to -e^{2i alpha} conj(u); the two commute.
 # Each choice of sign per reflection is one block: block b holds the
 # unknowns and trace rows that reflection r keeps where bit r of b is 0 and

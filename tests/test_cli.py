@@ -419,9 +419,9 @@ def test_singular_system_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(transmission, "_write_panel", singular)
     monkeypatch.setattr(np.linalg, "cond", no_svd)
     argv = ["forward", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
-    # the mirror-symmetric default shape solves two blocks, the complex mode
-    # the full system; numpy's LAPACK in place, then np.linalg.solve where no
-    # dgesv is found
+    # the default shape, whose real mode 2 gives it two mirror axes, solves
+    # four blocks, the complex mode the full system; numpy's LAPACK in
+    # place, then np.linalg.solve where no dgesv is found
     lapack = transmission._lapack_dgesv
     for mode in ([0.02, 0.0], [0.02, 0.01]):
         write_config(tmp_path / "config.json",

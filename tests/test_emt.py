@@ -221,7 +221,7 @@ def test_table_order_must_be_resolved(nodes, order):
     # disk read 4.1 (N = 12, order 6) and 6.1 (N = 16, order 8) off its
     # closed form, relative to its largest entry.  Order N/2 - 1 is aliased
     # too, since the traction operators' factor z_j - z_l lifts its mode to
-    # the Nyquist mode: Disk(0.3 + 0.2i, 1) read 0.27 (N = 16), 2.3e-3
+    # the Nyquist mode: Disk(0.3 + 0.2i, 1) read 0.27 (N = 16), 2.2e-3
     # (N = 32) and 1.5e-7 (N = 64) off its closed form
     curve = sample(Disk(0.0, 1.0), nodes)
     with pytest.raises(ValueError, match=f"order {order} needs at least {2 * order + 4} nodes"):

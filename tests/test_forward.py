@@ -458,8 +458,9 @@ def test_mirrored_solve_matches_full_system(monkeypatch, shape, inclusion):
 
 @pytest.mark.parametrize("nodes", [66, 130])
 def test_ellipse_off_a_multiple_of_four_takes_one_axis(monkeypatch, nodes):
-    # at N = 2 mod 4 no node lies on the second axis, so the orbits do not
-    # close and the solve splits over the first axis alone
+    # at N = 2 mod 4 no node lies on the second axis, whose orbit
+    # {N/4, 3N/4} the four blocks hold, so the solve splits over the first
+    # axis alone
     curve = sample(Ellipse(0.3 + 0.2j, 1.2, 0.8), nodes)
     table, sizes = factored_sizes(monkeypatch, curve, STIFF)
     assert sizes == one_axis(nodes)
