@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .emt import from_channels
 from .materials import MaterialPair
 
 __all__ = [
@@ -20,7 +21,6 @@ __all__ = [
     "disk_modified_emt",
     "disk_emt_general",
     "disk_emt_table",
-    "recentering_matrix",
 ]
 
 
@@ -56,46 +56,21 @@ def disk_emt_table(mat: MaterialPair, gamma: float, a0: complex, order: int) -> 
     """All contracted moments of the disk D(a0, gamma) with n, m <= order and
     t, s in {1, 2}, indexed like EmtTable.values.
 
-    In the a0-centered fields the table D is diagonal (disk_modified_emt),
-    and R(-a0) expands the origin-based fields in those, so the origin-based
-    table is R(-a0) D R(-a0)^T.
+    The a0-centered disk's channels are F = 2 diag(disk_modified_emt) and
+    S = 0; recentered at -a0 (binomial_shift) they give the origin-based table.
     """
-    r = recentering_matrix(order, -complex(a0))
-    diag = np.repeat(disk_modified_emt(mat, gamma, order), 2)
-    return (r @ (diag[:, None] * r.T)).reshape(order, 2, order, 2).transpose(0, 2, 1, 3)
-
-
-def recentering_matrix(order: int, a0: complex) -> np.ndarray:
-    """Real 2*order x 2*order change of basis from origin-based to
-    a0-centered background fields.
-
-    With q_1 = 1, q_2 = i and u_nk = q_t C(n,k) (-a0)^{n-k},
-
-        conj(q_t (z - a0)^n) = const + sum_{k=1}^{n} Re(u_nk) conj(z^k)
-                                     + Im(u_nk) conj(i z^k).
-
-    Row (n, t) holds Re/Im u_nk in columns (k, 1)/(k, 2); index (n, t) maps
-    to 2(n-1) + (t-1).  Density map and EMT pairing are real-linear, so a
-    table E flattened the same way recenters as R(a0) E R(a0)^T, and
-    R(a0) R(-a0) = I.
-    """
-    u = binomial_shift(order, a0)
-    # t = 2 multiplies u by i: (Re u, Im u) -> (-Im u, Re u)
-    r = np.empty((order, 2, order, 2))
-    r[:, 0, :, 0] = u.real
-    r[:, 0, :, 1] = u.imag
-    r[:, 1, :, 0] = -u.imag
-    r[:, 1, :, 1] = u.real
-    return r.reshape(2 * order, 2 * order)
+    u = binomial_shift(order, -complex(a0))
+    f = np.conj(u) @ (2.0 * disk_modified_emt(mat, gamma, order)[:, None] * u.T)
+    return from_channels(f, np.zeros_like(f))
 
 
 def binomial_shift(order: int, a0: complex) -> np.ndarray:
     """Lower-triangular complex u_nk = C(n,k) (-a0)^{n-k} for n, k = 1..order,
     the coefficients of (z - a0)^n = (-a0)^n + sum_k u_nk z^k.
 
-    It is the one recentering map: recentering_matrix splits it into real
-    blocks, and the inversion recenters the table's complex channels with it
-    (reconstruct.modified_emts)."""
+    It is the one recentering map: a table's channels F, S (emt.channels)
+    recenter at a0 as F' = conj(u) F u^T and S' = conj(u) S u^H, in the
+    inversion (reconstruct.modified_emts) and, at -a0, in disk_emt_table."""
     comb, lag = _binomial_table(order)
     return comb * (complex(-a0) ** np.arange(order))[lag]
 

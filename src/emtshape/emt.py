@@ -22,6 +22,8 @@ from .transmission import SolverError, evaluate_background, solve_densities
 __all__ = [
     "EmtTable",
     "NoiseModel",
+    "channels",
+    "from_channels",
     "emt_table",
     "apply_noise",
     "noise_from_json",
@@ -96,6 +98,30 @@ def emt_table(curve: BoundaryCurve, mat: MaterialPair, order: int) -> EmtTable:
     if not np.all(np.isfinite(values)):
         raise SolverError(f"order-{order} EMT table is not finite")
     return EmtTable(order, values.reshape(order, 2, order, 2).transpose(0, 2, 1, 3))
+
+
+def channels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The complex channels F = E^{11} + E^{22} - i (E^{12} - E^{21}) and
+    S = E^{11} - E^{22} + i (E^{12} + E^{21}) at each (n, m) of ``values``
+    indexed like EmtTable.values; from_channels inverts it."""
+    e = lambda t, s: values[:, :, t - 1, s - 1]
+    f = np.empty(values.shape[:2], dtype=complex)
+    s = np.empty_like(f)
+    f.real, f.imag = e(1, 1) + e(2, 2), e(2, 1) - e(1, 2)
+    s.real, s.imag = e(1, 1) - e(2, 2), e(1, 2) + e(2, 1)
+    return f, s
+
+
+def from_channels(f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The real table, indexed like EmtTable.values, of the channels F and S
+    (order x order each): E^{(t,s)}_{nm} = Re(conj(S) q_t q_s
+    + conj(F) q_t conj(q_s)) / 2 with q = (1, i)."""
+    values = np.empty(f.shape + (2, 2))
+    values[..., 0, 0] = (f.real + s.real) / 2.0
+    values[..., 0, 1] = (s.imag - f.imag) / 2.0
+    values[..., 1, 0] = (s.imag + f.imag) / 2.0
+    values[..., 1, 1] = (f.real - s.real) / 2.0
+    return values
 
 
 def apply_noise(table: EmtTable, noise: NoiseModel) -> EmtTable:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disk import binomial_shift, disk_modified_emt
-from .emt import EmtTable
+from .emt import EmtTable, channels
 from .geometry import BoundaryCurve
 from .materials import MaterialPair
 
@@ -104,19 +104,14 @@ def modified_emts(values: np.ndarray, a0: complex) -> tuple[np.ndarray, np.ndarr
     column F'_{n1} and the second channel S'_{nm}, n, m = 1..order, of
     ``values`` indexed like EmtTable.values (order = values.shape[0]).
 
-    At each (n, m) the channels are F = E^{11} + E^{22} - i (E^{12} - E^{21})
-    and S = E^{11} - E^{22} + i (E^{12} + E^{21}), so the table is the real
-    bilinear form Re(conj(S) a b + conj(F) a conj(b)) / 2 of the fields'
-    complex coefficients a, b.  The real congruence R(a0) E R(a0)^T of
-    disk.recentering_matrix is then F' = conj(u) F u^T and
-    S' = conj(u) S u^H with u = disk.binomial_shift(order, a0); the first
-    row of u is (1, 0, ..., 0), so F'_{n1} is the one product conj(u) F_{k1}.
+    With the channels F, S of emt.channels and u = binomial_shift(order, a0),
+    F' = conj(u) F u^T and S' = conj(u) S u^H; the first row of u is
+    (1, 0, ..., 0), so F'_{n1} is the one product conj(u) F_{k1}.
     """
     u = binomial_shift(values.shape[0], a0)
-    c = values.view(complex)[..., 0]  # c[n, m, t] = E^{(t,1)} + i E^{(t,2)}
-    first = np.conj(u @ (c[:, 0, 0] - 1j * c[:, 0, 1]))
-    second = np.conj(u) @ (c[..., 0] + 1j * c[..., 1]) @ u.T.conj()
-    return first, second
+    f, s = channels(values)
+    # equal to conj(u) @ F[:, 0], but rounded as the committed outputs were
+    return np.conj(u @ np.conj(f[:, 0])), np.conj(u) @ s @ u.T.conj()
 
 
 def deltas(first: np.ndarray, moments: np.ndarray) -> np.ndarray:

@@ -567,9 +567,8 @@ def _solve_mirrored(curve: BoundaryCurve, mat: MaterialPair, h: np.ndarray,
             column[:2] = (np.conj(keeps) * pairing[[0, m]]).real
             column[2:] = pairing[1:m].view(float)
 
-    fields = np.multiply(0.5j * np.abs(curve.dz), traction)  # = mu * dG_H/dtheta
     rhs = [np.zeros((len(h), size)) for size in sizes]
-    _fold_equations(np.concatenate([h, fields], axis=1).view(float), axes, rhs)
+    _fold_equations(_rhs(curve, h, traction)[:, : 4 * n], axes, rhs)
     for block, b in zip(blocks, rhs):
         _solve_in_place(block.T, b)
     densities = np.empty((len(h), 2, n), dtype=complex)

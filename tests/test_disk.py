@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from emtshape.disk import (
+    binomial_shift,
     disk_emt_general,
     disk_emt_table,
     disk_modified_emt,
-    recentering_matrix,
 )
 from emtshape.materials import LameConstants, MaterialPair
 
@@ -80,24 +80,23 @@ def test_general_emt_hand_values():
 
 def test_recentering_matrix_inverse_is_opposite_shift():
     a0 = 0.4 - 0.3j
-    product = recentering_matrix(12, a0) @ recentering_matrix(12, -a0)
-    assert np.max(np.abs(product - np.eye(24))) < 1e-12
+    product = binomial_shift(12, a0) @ binomial_shift(12, -a0)
+    assert np.max(np.abs(product - np.eye(12))) < 1e-12
 
 
 @pytest.mark.parametrize("order", [1, 2, 6, 24, 40])
 @pytest.mark.parametrize("a0", [0.0, -0.9 + 1.2j, 0.3 - 0.2j])
 def test_recentering_matrix_matches_definition(order, a0):
-    # row (n, t), column (k, s): Re/Im of u_nk = q_t C(n,k) (-a0)^(n-k) for s = 1/2
-    want = np.zeros((order, 2, order, 2))
+    # the recentering matrix binomial_shift: u_nk = C(n,k) (-a0)^(n-k) for
+    # k <= n, zero above the diagonal
+    want = np.zeros((order, order), dtype=complex)
     for n in range(1, order + 1):
         for k in range(1, n + 1):
-            for t, q in ((1, 1.0), (2, 1.0j)):
-                u = q * (math.comb(n, k) * complex(-a0) ** (n - k))
-                want[n - 1, t - 1, k - 1] = u.real, u.imag
-    got = recentering_matrix(order, a0)
-    assert np.array_equal(got, want.reshape(2 * order, 2 * order))
+            want[n - 1, k - 1] = math.comb(n, k) * complex(-a0) ** (n - k)
+    got = binomial_shift(order, a0)
+    assert np.array_equal(got, want)
     got[...] = 7.0  # the per-order tables behind it are shared between calls
-    assert np.array_equal(recentering_matrix(order, a0), want.reshape(2 * order, 2 * order))
+    assert np.array_equal(binomial_shift(order, a0), want)
 
 
 def test_general_emt_index_validation():

@@ -3,12 +3,14 @@ import functools
 import numpy as np
 import pytest
 
-from emtshape.disk import disk_emt_table, recentering_matrix
+from emtshape import emt
+from emtshape.disk import binomial_shift, disk_emt_table
 from emtshape.emt import (
     EmtTable,
     NoiseModel,
     apply_noise,
     emt_table,
+    from_channels,
     table_from_json,
     table_to_json,
 )
@@ -66,6 +68,16 @@ def channels(values):
             e(1, 1) - e(2, 2) + 1j * (e(1, 2) + e(2, 1)))
 
 
+@pytest.mark.parametrize("order", [1, 5, 24])
+def test_channel_conversions(order):
+    rng = np.random.default_rng(order)
+    scale = 10.0 ** rng.uniform(-3, 3, size=(order, 1, 1, 1))  # rows of unlike size
+    values = rng.normal(size=(order, order, 2, 2)) * scale
+    f, s = emt.channels(values)
+    assert all(np.array_equal(g, w) for g, w in zip((f, s), channels(values)))
+    assert np.abs(from_channels(f, s) - values).max() <= 4e-16 * np.abs(values).max()
+
+
 @pytest.mark.parametrize("law", ["rotation", "reflection", "translation"])
 @pytest.mark.parametrize("mat", [SOFT, STIFF])
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -84,10 +96,10 @@ def test_rigid_motion_laws(seed, mat, law):
         want = f.conj(), s.conj()
     else:  # z -> z + b, recentered back at b
         b = 0.3 - 0.4j
-        moved = curve_table(coeffs + b * (np.arange(-1, 5) == 0), mat)
-        r = recentering_matrix(5, b)
-        back = r @ moved.transpose(0, 2, 1, 3).reshape(10, 10) @ r.T
-        got, want = (back.reshape(5, 2, 5, 2).transpose(0, 2, 1, 3),), (table,)
+        moved_f, moved_s = channels(curve_table(coeffs + b * (np.arange(-1, 5) == 0), mat))
+        u = binomial_shift(5, b)
+        got = np.conj(u) @ moved_f @ u.T, np.conj(u) @ moved_s @ u.T.conj()
+        want = f, s
     scale = np.abs(table).max()
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * scale

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from emtshape.disk import disk_emt_table, disk_modified_emt, recentering_matrix
+from emtshape.disk import binomial_shift, disk_emt_table, disk_modified_emt
 from emtshape.emt import EmtTable, NoiseModel, apply_noise, emt_table
 from emtshape.geometry import Disk, Ellipse, Kite, PerturbedDisk, Starfish, fourier_series, sample
 from emtshape.materials import LameConstants, MaterialPair
@@ -36,9 +36,18 @@ def exact_disk_table(mat, gamma, a0, order):
 
 def recentered(values, a0):
     """The reference recentering: the real congruence R(a0) E R(a0)^T of the
-    whole table, indexed like EmtTable.values."""
+    whole table, indexed like EmtTable.values.
+
+    With q_1 = 1, q_2 = i and u = binomial_shift(order, a0),
+    conj(q_t (z - a0)^n) = const + sum_k Re(q_t u_nk) conj(z^k)
+    + Im(q_t u_nk) conj(i z^k), so row (n, t) of R holds Re/Im of q_t u_nk
+    in columns (k, 1)/(k, 2)."""
     order = values.shape[0]
-    r = recentering_matrix(order, a0)
+    u = binomial_shift(order, a0)
+    r = np.empty((order, 2, order, 2))
+    for t, q in ((0, 1.0), (1, 1.0j)):
+        r[:, t, :, 0], r[:, t, :, 1] = (q * u).real, (q * u).imag
+    r = r.reshape(2 * order, 2 * order)
     e = values.transpose(0, 2, 1, 3).reshape(2 * order, 2 * order)
     return (r @ e @ r.T).reshape(order, 2, order, 2).transpose(0, 2, 1, 3)
 
